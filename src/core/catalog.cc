@@ -125,7 +125,7 @@ Catalog::Catalog(CatalogOptions options) : options_(std::move(options)) {
   }
 }
 
-Catalog::~Catalog() = default;
+Catalog::~Catalog() { CloseIdle(); }
 
 gmine::Result<std::unique_ptr<Catalog>> Catalog::OpenDirectory(
     const std::string& dir, const CatalogOptions& options) {
@@ -282,33 +282,60 @@ gmine::Result<CatalogSession> Catalog::AcquireSession(
     return Status::NotFound(StrFormat("no store '%s'", name.c_str()));
   }
   CatalogEntry& e = *it->second;
-  std::lock_guard<std::mutex> lock(e.mu);
-  if (e.quota > 0 && e.refs >= e.quota) {
-    quota_rejections_.fetch_add(1, std::memory_order_relaxed);
-    return Status::Aborted(
-        StrFormat("store '%s' session quota (%zu) exceeded", name.c_str(),
-                  e.quota));
-  }
-  if (e.store == nullptr) {
+  for (;;) {
+    std::unique_lock<std::mutex> lock(e.mu);
+    if (e.quota > 0 && e.refs >= e.quota) {
+      quota_rejections_.fetch_add(1, std::memory_order_relaxed);
+      return Status::Aborted(
+          StrFormat("store '%s' session quota (%zu) exceeded",
+                    name.c_str(), e.quota));
+    }
+    if (e.store != nullptr) return LeaseLocked(e, /*opened=*/false);
+    bool idle_open = false;
+    {
+      std::lock_guard<std::mutex> state(state_mu_);
+      idle_open = idle_ != nullptr;
+    }
+    if (idle_open) {
+      // The idle store closes before any other store opens.
+      lock.unlock();
+      CloseIdle();
+      continue;
+    }
     GMINE_ASSIGN_OR_RETURN(e.store,
                            gtree::GTreeStore::Open(e.path, options_.store));
     // The quota above is the admission control; the pool must never cap
     // or LRU-evict on its own, since every session here backs a live
-    // lease (opened pinned below).
+    // lease (opened pinned in LeaseLocked).
     SessionManagerOptions smopts = options_.sessions;
     smopts.max_sessions = 0;
     e.pool = std::make_unique<SessionManager>(e.store.get(), smopts);
     opens_.fetch_add(1, std::memory_order_relaxed);
+    return LeaseLocked(e, /*opened=*/true);
   }
+}
+
+gmine::Result<CatalogSession> Catalog::LeaseLocked(CatalogEntry& e,
+                                                   bool opened) {
   auto sid = e.pool->OpenSession(/*pinned=*/true);
   if (!sid.ok()) {
-    if (e.refs == 0) {
-      // Nobody else is using the store we just opened: roll it back.
-      e.pool.reset();
-      e.store.reset();
-      closes_.fetch_add(1, std::memory_order_relaxed);
-    }
+    // A store opened for this lease closes again; the idle store stays
+    // idle.
+    if (opened) TeardownLocked(e);
     return sid.status();
+  }
+  {
+    // The residency counters move in one step with the ref, so stats()
+    // never sees a fresh store open but unleased next to the idle one.
+    std::lock_guard<std::mutex> state(state_mu_);
+    if (opened) ++open_now_;
+    if (e.refs == 0) {
+      ++leased_now_;
+      // Claiming the idle store keeps it open. A CloseIdle already
+      // tearing it down finds the ref and clears the slot itself.
+      if (idle_ == &e && !idle_closing_) idle_ = nullptr;
+    }
+    ++sessions_now_;
   }
   ++e.refs;
   leases_.fetch_add(1, std::memory_order_relaxed);
@@ -316,26 +343,68 @@ gmine::Result<CatalogSession> Catalog::AcquireSession(
                         sid.value());
 }
 
+void Catalog::TeardownLocked(CatalogEntry& e) {
+  e.pool.reset();
+  e.store.reset();
+  closes_.fetch_add(1, std::memory_order_relaxed);
+}
+
 void Catalog::ReleaseSession(CatalogEntry* entry, SessionId id) {
-  std::lock_guard<std::mutex> lock(entry->mu);
-  if (entry->pool != nullptr) {
-    // NotFound here just means the pool reaped the session first.
-    (void)entry->pool->CloseSession(id);
+  {
+    std::lock_guard<std::mutex> lock(entry->mu);
+    if (entry->pool != nullptr) {
+      // NotFound here just means the pool reaped the session first.
+      (void)entry->pool->CloseSession(id);
+    }
   }
-  if (entry->refs > 0 && --entry->refs == 0) {
-    entry->pool.reset();
-    entry->store.reset();
-    closes_.fetch_add(1, std::memory_order_relaxed);
+  for (;;) {
+    {
+      std::lock_guard<std::mutex> lock(entry->mu);
+      if (entry->refs == 0) return;
+      std::lock_guard<std::mutex> state(state_mu_);
+      if (entry->refs > 1 || idle_ == nullptr) {
+        --sessions_now_;
+        if (--entry->refs == 0) {
+          --leased_now_;
+          idle_ = entry;
+        }
+        return;
+      }
+    }
+    // Displace the older idle store, then become the idle one.
+    CloseIdle();
+  }
+}
+
+void Catalog::CloseIdle() {
+  std::unique_lock<std::mutex> state(state_mu_);
+  for (;;) {
+    idle_cv_.wait(state, [this] { return !idle_closing_; });
+    if (idle_ == nullptr) return;
+    CatalogEntry* victim = idle_;
+    idle_closing_ = true;
+    state.unlock();
+    std::lock_guard<std::mutex> lock(victim->mu);
+    // A lease may have claimed the store since it went idle; it then
+    // stays open as a leased store.
+    const bool unused = victim->refs == 0;
+    if (unused) TeardownLocked(*victim);
+    state.lock();
+    if (unused) --open_now_;
+    idle_ = nullptr;
+    idle_closing_ = false;
+    idle_cv_.notify_all();
   }
 }
 
 CatalogStats Catalog::stats() const {
   CatalogStats out;
   out.stores = entries_.size();
-  for (const auto& [name, entry] : entries_) {
-    std::lock_guard<std::mutex> lock(entry->mu);
-    if (entry->store != nullptr) ++out.open_now;
-    out.sessions_now += entry->refs;
+  {
+    std::lock_guard<std::mutex> state(state_mu_);
+    out.open_now = open_now_;
+    out.idle_now = open_now_ - leased_now_;
+    out.sessions_now = sessions_now_;
   }
   out.opens = opens_.load(std::memory_order_relaxed);
   out.closes = closes_.load(std::memory_order_relaxed);

@@ -161,6 +161,18 @@ Status SessionManager::WithSession(
   return fn(*entry->session);
 }
 
+Status SessionManager::WithStore(
+    const std::function<Status(const gtree::GTreeStore&, uint64_t epoch)>&
+        fn) const {
+  DispatchGuard guard(this);
+  const gtree::GTreeStore* store = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    store = store_;
+  }
+  return fn(*store, epoch_.load());
+}
+
 Status SessionManager::UpdateEpoch(
     const std::function<gmine::Result<const gtree::GTreeStore*>()>&
         update) {

@@ -144,8 +144,18 @@ class SessionManager {
   /// Number of sessions currently open.
   size_t size() const;
 
-  /// The shared store.
+  /// The shared store. Unguarded: a live pool's UpdateEpoch may swap or
+  /// mutate it at any time, so hosts that serve while edits publish
+  /// read it through WithStore instead.
   const gtree::GTreeStore& store() const { return *store_; }
+
+  /// Runs `fn` over the current store and epoch as one gated dispatch
+  /// without a session: UpdateEpoch waits for it to return, so neither
+  /// the store nor the epoch changes under `fn`. Same rules as
+  /// WithSession: never call back into the manager from `fn`.
+  Status WithStore(
+      const std::function<Status(const gtree::GTreeStore&, uint64_t epoch)>&
+          fn) const;
 
   /// Installs (or clears, with nullptr-like empty fn) the close hook:
   /// invoked once per session removed from the pool, for any reason,

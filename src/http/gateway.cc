@@ -124,7 +124,9 @@ Status Gateway::Start() {
   reactor_ = std::make_unique<Reactor>(ropts, std::move(callbacks));
   GMINE_RETURN_IF_ERROR(reactor_->Start());
   GMINE_ASSIGN_OR_RETURN(
-      listener_, net::ListenTcp(options_.port, options_.backlog, &port_));
+      listener_,
+      net::ListenTcp(options_.port, net::ListenBacklog(options_.max_conns),
+                     &port_));
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
 }
@@ -391,7 +393,8 @@ void Gateway::Route(const std::shared_ptr<GwConn>& conn,
   }
 
   // The REST endpoints lease a session for the request's duration:
-  // the store opens lazily and closes again when the last lease goes.
+  // the store opens lazily, and the last lease leaves it as the
+  // catalog's idle store, so the next request on it skips the open.
   auto lease = catalog_->AcquireSession(store_name);
   if (!lease.ok()) {
     *endpoint = tail.empty() ? kEpStore : kEpOther;
@@ -799,7 +802,7 @@ void Gateway::OnClosed(ConnId id) {
     conn = std::move(it->second);
     conns_.erase(it);
   }
-  conn->lease.Release();  // store may close here (last ref)
+  conn->lease.Release();  // last ref: the store turns idle
 }
 
 void Gateway::RequestShutdown() {
@@ -837,6 +840,7 @@ void Gateway::Stop() {
     for (auto& [id, conn] : conns_) conn->lease.Release();
     conns_.clear();
   }
+  catalog_->CloseIdle();  // the drain leaves no store open
   RequestShutdown();
   stopped_ = true;
 }
@@ -872,10 +876,11 @@ std::string Gateway::StatsJson() const {
       (unsigned long long)upgrades_.load(),
       (unsigned long long)ws_messages_.load());
   out += StrFormat(
-      "\"catalog\":{\"stores\":%zu,\"open_now\":%zu,"
+      "\"catalog\":{\"stores\":%zu,\"open_now\":%zu,\"idle_now\":%zu,"
       "\"sessions_now\":%zu,\"opens\":%llu,\"closes\":%llu,"
       "\"leases\":%llu,\"quota_rejections\":%llu},",
-      catalog.stores, catalog.open_now, catalog.sessions_now,
+      catalog.stores, catalog.open_now, catalog.idle_now,
+      catalog.sessions_now,
       (unsigned long long)catalog.opens,
       (unsigned long long)catalog.closes,
       (unsigned long long)catalog.leases,

@@ -12,7 +12,8 @@
 //
 //   GET  /stats                             counters (no auth)
 //   GET  /api/v1/stores                     catalog listing
-//   GET  /api/v1/stores/NAME                store info (opens it briefly)
+//   GET  /api/v1/stores/NAME                store info (opens it; it stays
+//                                           warm as the idle store)
 //   GET  /api/v1/stores/NAME/query?q=GQL    run GQL, JSON rows
 //   POST /api/v1/stores/NAME/query          statement in the body
 //   GET  /api/v1/stores/NAME/summary[?node=N]   focus summary JSON
@@ -58,9 +59,9 @@ namespace gmine::http {
 struct GatewayOptions {
   /// TCP port on 127.0.0.1; 0 picks an ephemeral port (port()).
   uint16_t port = 0;
-  int backlog = 128;
   /// Connections admitted at once; more get 503 and an immediate
-  /// close. Sized for tens of thousands of idle navigators.
+  /// close. Sized for tens of thousands of idle navigators. Also sizes
+  /// the listen backlog (net::ListenBacklog).
   size_t max_conns = 10000;
   /// Reactor event-loop threads.
   int reactor_threads = 1;
@@ -114,7 +115,7 @@ class Gateway {
 
   /// Graceful drain: stop accepting, send every WebSocket a 1001
   /// close, flush and close every connection (their catalog sessions
-  /// release), join. Idempotent.
+  /// release), close the catalog's idle store, join. Idempotent.
   void Stop();
 
   GatewayStats stats() const;

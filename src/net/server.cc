@@ -30,8 +30,7 @@ Server::Server(core::SessionManager* pool, ServerOptions options,
                core::Prefetcher* prefetcher)
     : pool_(pool),
       prefetcher_(prefetcher),
-      options_(options),
-      executor_(std::make_unique<query::Executor>(&pool->store())) {
+      options_(options) {
   if (options_.max_clients < 1) options_.max_clients = 1;
   if (options_.worker_threads <= 0) {
     options_.worker_threads = options_.max_clients;
@@ -46,7 +45,10 @@ Status Server::Start() {
     return Status::InvalidArgument("server already started");
   }
   GMINE_ASSIGN_OR_RETURN(
-      listener_, ListenTcp(options_.port, options_.backlog, &port_));
+      listener_,
+      ListenTcp(options_.port,
+                ListenBacklog(static_cast<size_t>(options_.max_clients)),
+                &port_));
   // Connection-scoped session lifetimes: when the pool reaps or evicts
   // a session owned by one of our connections, close that connection.
   pool_->set_on_session_closed(
@@ -337,7 +339,6 @@ void Server::ServeConnection(const std::shared_ptr<Conn>& conn) {
 Response Server::Execute(const Request& request, Conn& conn,
                          bool* close_conn, bool* request_shutdown) {
   Response response;
-  const gtree::GTree& tree = pool_->store().tree();
   switch (request.op) {
     case RequestOp::kHelp:
       response.text = ProtocolHelpText();
@@ -366,12 +367,20 @@ Response Server::Execute(const Request& request, Conn& conn,
     case RequestOp::kQuery: {
       // Queries read the store directly — no navigation state, so they
       // run outside WithSession and never poison the session on error.
+      // They still hold the epoch gate: an edit that compacts or swaps
+      // the store waits for them, and the next query sees its result.
       if (request.arg.empty()) {
         response.status =
             Status::InvalidArgument("query expects a GQL statement");
         return response;
       }
-      auto result = executor_->ExecuteText(request.arg);
+      gmine::Result<query::QueryResult> result =
+          Status::Internal("query did not run");
+      (void)pool_->WithStore(
+          [&](const gtree::GTreeStore& store, uint64_t epoch) {
+            result = ExecutorFor(store, epoch).ExecuteText(request.arg);
+            return Status::OK();
+          });
       if (!result.ok()) {
         response.status = result.status();
         return response;
@@ -402,6 +411,7 @@ Response Server::Execute(const Request& request, Conn& conn,
   bool focus_changed = false;
   response.status = pool_->WithSession(
       conn.session, [&](gtree::NavigationSession& nav) -> Status {
+        const gtree::GTree& tree = nav.store()->tree();
         auto focus_name = [&] { return tree.node(nav.focus()).name; };
         auto nav_text = [&] {
           return StrFormat("focus=%s display=%zu", focus_name().c_str(),
@@ -482,7 +492,7 @@ Response Server::Execute(const Request& request, Conn& conn,
                   "render supports exactly one format: 'render svg'");
             }
             auto svg = core::HierarchyViewSvgString(
-                tree, nav.context(), pool_->store().connectivity());
+                tree, nav.context(), nav.store()->connectivity());
             if (!svg.ok()) return svg.status();
             response.body = std::move(svg).value();
             response.has_body = true;
@@ -505,6 +515,18 @@ Response Server::Execute(const Request& request, Conn& conn,
                                        options_.prefetch_fanout);
   }
   return response;
+}
+
+const query::Executor& Server::ExecutorFor(const gtree::GTreeStore& store,
+                                           uint64_t epoch) {
+  std::lock_guard<std::mutex> lock(executor_mu_);
+  // Rebuilt after every epoch bump: an in-place edit keeps the store
+  // pointer but would leave the executor's cached full graph stale.
+  if (executor_ == nullptr || executor_epoch_ != epoch) {
+    executor_ = std::make_unique<query::Executor>(&store);
+    executor_epoch_ = epoch;
+  }
+  return *executor_;
 }
 
 Response Server::ExecuteEdit(const Request& request, Conn& conn) {
@@ -655,7 +677,13 @@ Response Server::ExecuteEdit(const Request& request, Conn& conn) {
 std::string Server::StatsText(const Conn& conn) const {
   ServerStats server = stats();
   const core::SessionPoolStats pool = pool_->stats();
-  const gtree::GTreeStoreStats store = pool_->store().stats();
+  gtree::GTreeStoreStats store;
+  storage::BufferPoolStats bp;
+  (void)pool_->WithStore([&](const gtree::GTreeStore& current, uint64_t) {
+    store = current.stats();
+    bp = current.buffer_pool().stats();
+    return Status::OK();
+  });
   const uint64_t avg =
       server.requests > 0 ? server.total_latency_micros / server.requests
                           : 0;
@@ -691,8 +719,6 @@ std::string Server::StatsText(const Conn& conn) const {
       static_cast<unsigned long long>(store.evictions),
       static_cast<unsigned long long>(store.resident_bytes),
       static_cast<unsigned long long>(store.pinned_bytes));
-  const storage::BufferPoolStats bp =
-      pool_->store().buffer_pool().stats();
   out += StrFormat(
       " | buffer_pool budget_bytes=%llu resident_bytes=%llu "
       "pinned_bytes=%llu stores=%zu evictions=%llu backpressure=%llu",

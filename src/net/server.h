@@ -60,10 +60,9 @@ struct ServerOptions {
   /// TCP port on 127.0.0.1; 0 picks an ephemeral port (read it back
   /// from port() after Start).
   uint16_t port = 0;
-  /// listen(2) backlog.
-  int backlog = 64;
   /// Connections admitted at once (serving + queued); more get an
   /// "ERR Aborted server at capacity" line and an immediate close.
+  /// Also sizes the listen backlog (ListenBacklog).
   int max_clients = 32;
   /// Worker threads serving connections; 0 means max_clients (every
   /// admitted connection gets a worker immediately).
@@ -184,9 +183,16 @@ class Server {
   core::Prefetcher* prefetcher_;
   ServerOptions options_;
 
-  /// Shared GQL executor over the pool's store (QUERY op). Const after
-  /// construction; Execute() is thread-safe, so workers share it.
+  /// The shared GQL executor (QUERY op) for the pool's store at
+  /// `executor_epoch_`. Queries run inside the pool's epoch gate
+  /// (WithStore), so the executor is never replaced while one runs.
+  /// Callers hold the gate.
+  const query::Executor& ExecutorFor(const gtree::GTreeStore& store,
+                                     uint64_t epoch);
+
+  std::mutex executor_mu_;  // guards executor_ / executor_epoch_
   std::unique_ptr<query::Executor> executor_;
+  uint64_t executor_epoch_ = 0;
 
   // Cumulative EDIT-op counters (an "edits" section in STATS when
   // writable).

@@ -1,8 +1,11 @@
 #include "net/socket.h"
 
 #include <arpa/inet.h>
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
+#include <fstream>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -96,6 +99,18 @@ Status Socket::WriteAll(std::string_view data) const {
     off += static_cast<size_t>(n);
   }
   return Status::OK();
+}
+
+int ListenBacklog(size_t max_conns) {
+  static const size_t kCap = [] {
+    std::ifstream in("/proc/sys/net/core/somaxconn");
+    long cap = 0;
+    if (in >> cap && cap > 0) {
+      return static_cast<size_t>(std::min<long>(cap, INT_MAX));
+    }
+    return static_cast<size_t>(SOMAXCONN);
+  }();
+  return static_cast<int>(std::clamp<size_t>(max_conns, 1, kCap));
 }
 
 gmine::Result<Socket> ListenTcp(uint16_t port, int backlog,

@@ -67,6 +67,14 @@ class Socket {
   int fd_ = -1;
 };
 
+/// The listen(2) backlog for a listener admitting up to `max_conns`
+/// connections at once: room for every one of them to connect in the
+/// same instant, clamped to the kernel's cap
+/// (/proc/sys/net/core/somaxconn, SOMAXCONN when unreadable), and never
+/// below 1. A smaller queue overflows under a connect burst, and every
+/// dropped SYN then waits out the kernel's ~1 s retransmit.
+int ListenBacklog(size_t max_conns);
+
 /// Binds and listens on 127.0.0.1:`port` (0 = kernel-assigned ephemeral
 /// port). `bound_port` receives the actual port.
 gmine::Result<Socket> ListenTcp(uint16_t port, int backlog,

@@ -1,9 +1,12 @@
 // Catalog proofs: directory/manifest discovery, lazy refcounted
 // open/close against a private buffer pool (per-store isolation — one
-// store's teardown drops exactly its own pages), per-store session
-// quotas, and a concurrent open/close/navigate hammer across four named
-// stores (run it under TSan) that must end with every store closed and
-// zero sessions leaked.
+// store's teardown drops exactly its own pages), the one idle store
+// kept warm after its last lease (reused without an open, closed when
+// another store opens or turns idle, or on CloseIdle), per-store
+// session quotas, and a concurrent open/close/navigate hammer across
+// four named stores (run it under TSan) that never holds two unleased
+// stores open and must end with every store closed and zero sessions
+// leaked.
 
 #include "core/catalog.h"
 
@@ -131,11 +134,21 @@ TEST(CatalogTest, LazyOpenAndRefcountedCloseIsolatePoolResidency) {
   const uint64_t resident_both = pool.stats().resident_bytes;
   EXPECT_GT(resident_both, 0u);
 
-  // Closing s0's last lease drops exactly s0: its registration and its
-  // pages leave the pool, s1's stay.
+  // Releasing s0's last lease leaves it open and idle: its
+  // registration and its pages stay in the pool.
   a1.Release();
   EXPECT_EQ(pool.stats().stores, 2u);  // a2 still holds s0
   a2.Release();
+  EXPECT_EQ(pool.stats().stores, 2u);
+  EXPECT_EQ(pool.stats().resident_bytes, resident_both);
+  info = std::move(catalog->Info("s0")).value();
+  EXPECT_TRUE(info.open);
+  EXPECT_EQ(info.live_sessions, 0u);
+  EXPECT_EQ(catalog->stats().idle_now, 1u);
+
+  // s1 becoming idle closes s0: exactly s0's registration and pages
+  // leave the pool, s1's stay.
+  b1.Release();
   EXPECT_EQ(pool.stats().stores, 1u);
   const uint64_t resident_s1 = pool.stats().resident_bytes;
   EXPECT_LT(resident_s1, resident_both);
@@ -143,17 +156,102 @@ TEST(CatalogTest, LazyOpenAndRefcountedCloseIsolatePoolResidency) {
   info = std::move(catalog->Info("s0")).value();
   EXPECT_FALSE(info.open);
   EXPECT_EQ(info.live_sessions, 0u);
+  info = std::move(catalog->Info("s1")).value();
+  EXPECT_TRUE(info.open);
+  EXPECT_EQ(info.live_sessions, 0u);
+  EXPECT_EQ(catalog->stats().idle_now, 1u);
 
-  b1.Release();
+  catalog->CloseIdle();
   EXPECT_EQ(pool.stats().stores, 0u);
   EXPECT_EQ(pool.stats().resident_bytes, 0u);
+  EXPECT_EQ(pool.stats().pinned_bytes, 0u);
 
   CatalogStats stats = catalog->stats();
   EXPECT_EQ(stats.open_now, 0u);
+  EXPECT_EQ(stats.idle_now, 0u);
   EXPECT_EQ(stats.sessions_now, 0u);
   EXPECT_EQ(stats.opens, 2u);
   EXPECT_EQ(stats.closes, 2u);
   EXPECT_EQ(stats.leases, 3u);
+}
+
+/// Focuses the first leaf under the root and loads its page.
+Status LoadFirstLeaf(gtree::NavigationSession& session) {
+  GMINE_RETURN_IF_ERROR(session.FocusRoot());
+  GMINE_RETURN_IF_ERROR(session.FocusChild(0));
+  GMINE_RETURN_IF_ERROR(session.FocusChild(0));
+  return session.LoadFocusSubgraph().status();
+}
+
+TEST(CatalogTest, OpeningAnotherStoreClosesTheIdleOne) {
+  CatalogDir d("displace", 3);
+  storage::BufferPool pool;
+  CatalogOptions copts;
+  copts.store.buffer_pool = &pool;
+  auto catalog = std::move(Catalog::OpenDirectory(d.dir(), copts)).value();
+
+  CatalogSession held = std::move(catalog->AcquireSession("s1")).value();
+  ASSERT_TRUE(held.With(LoadFirstLeaf).ok());
+  const uint64_t resident_s1 = pool.stats().resident_bytes;
+  CatalogSession a = std::move(catalog->AcquireSession("s0")).value();
+  ASSERT_TRUE(a.With(LoadFirstLeaf).ok());
+  a.Release();  // s0 idle, pages resident
+  EXPECT_EQ(pool.stats().stores, 2u);
+  EXPECT_GT(pool.stats().resident_bytes, resident_s1);
+
+  // Opening s2 closes s0 first: exactly s0's registration and pages
+  // leave; the leased s1 keeps its own.
+  CatalogSession c = std::move(catalog->AcquireSession("s2")).value();
+  EXPECT_FALSE(std::move(catalog->Info("s0")).value().open);
+  EXPECT_EQ(pool.stats().stores, 2u);  // s1 + s2
+  EXPECT_EQ(pool.stats().resident_bytes, resident_s1);
+  CatalogStats stats = catalog->stats();
+  EXPECT_EQ(stats.open_now, 2u);
+  EXPECT_EQ(stats.idle_now, 0u);
+  EXPECT_EQ(stats.opens, 3u);
+  EXPECT_EQ(stats.closes, 1u);
+
+  held.Release();
+  c.Release();  // s2 idle displaces s1
+  stats = catalog->stats();
+  EXPECT_EQ(stats.open_now, 1u);
+  EXPECT_EQ(stats.idle_now, 1u);
+  EXPECT_TRUE(std::move(catalog->Info("s2")).value().open);
+  catalog->CloseIdle();
+  stats = catalog->stats();
+  EXPECT_EQ(stats.open_now, 0u);
+  EXPECT_EQ(stats.opens, stats.closes);
+  EXPECT_EQ(pool.stats().stores, 0u);
+  EXPECT_EQ(pool.stats().resident_bytes, 0u);
+  EXPECT_EQ(pool.stats().pinned_bytes, 0u);
+}
+
+TEST(CatalogTest, LeaseOnTheIdleStoreSkipsTheOpenAndTheDisk) {
+  CatalogDir d("warm", 1);
+  storage::BufferPool pool;
+  CatalogOptions copts;
+  copts.store.buffer_pool = &pool;
+  auto catalog = std::move(Catalog::OpenDirectory(d.dir(), copts)).value();
+
+  CatalogSession first = std::move(catalog->AcquireSession("s0")).value();
+  ASSERT_TRUE(first.With(LoadFirstLeaf).ok());
+  first.Release();
+  EXPECT_EQ(catalog->stats().opens, 1u);
+  const storage::BufferPoolStats cold = pool.stats();
+  EXPECT_GT(cold.misses, 0u);
+
+  // The second lease reuses the idle store: no open, and the same leaf
+  // comes back from the pool without a single miss.
+  CatalogSession second = std::move(catalog->AcquireSession("s0")).value();
+  EXPECT_EQ(catalog->stats().opens, 1u);
+  EXPECT_EQ(catalog->stats().idle_now, 0u);
+  ASSERT_TRUE(second.With(LoadFirstLeaf).ok());
+  const storage::BufferPoolStats warm = pool.stats();
+  EXPECT_EQ(warm.misses, cold.misses);
+  EXPECT_EQ(warm.loads, cold.loads);
+  EXPECT_GT(warm.hits, cold.hits);
+  second.Release();
+  EXPECT_EQ(catalog->stats().closes, 0u);
 }
 
 TEST(CatalogTest, QuotaCapsConcurrentLeases) {
@@ -254,13 +352,15 @@ TEST(CatalogTest, ReleasedLeaseIsInert) {
 }
 
 // The satellite hammer: concurrent open/close/navigate across four
-// named stores through one private buffer pool. Run under TSan. Ends
-// with every store closed, zero outstanding sessions and an empty pool
-// (leaked=0), and every lazy open matched by a teardown.
+// named stores through one private buffer pool. Run under TSan. A
+// sampler polls stats() throughout: never more than one open store
+// without a lease. Ends with zero outstanding sessions and at most the
+// idle store open; after CloseIdle every store is closed, the pool is
+// empty (leaked=0) and every lazy open is matched by a teardown.
 TEST(CatalogTest, ConcurrentOpenCloseNavigateAcrossStores) {
   constexpr size_t kStores = 4;
   constexpr size_t kThreads = 8;
-  constexpr size_t kIters = 40;
+  constexpr size_t kIters = 400;
   CatalogDir d("hammer", kStores);
   storage::BufferPool pool;
   CatalogOptions copts;
@@ -271,6 +371,17 @@ TEST(CatalogTest, ConcurrentOpenCloseNavigateAcrossStores) {
   std::atomic<uint64_t> navigations{0};
   std::atomic<uint64_t> quota_hits{0};
   std::atomic<int> failures{0};
+  std::atomic<bool> done{false};
+  std::atomic<size_t> max_idle{0};
+  std::atomic<uint64_t> samples{0};
+  std::thread sampler([&] {
+    while (!done.load()) {
+      const CatalogStats s = catalog->stats();
+      if (s.idle_now > max_idle.load()) max_idle.store(s.idle_now);
+      samples.fetch_add(1);
+      std::this_thread::yield();
+    }
+  });
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (size_t t = 0; t < kThreads; ++t) {
@@ -303,15 +414,25 @@ TEST(CatalogTest, ConcurrentOpenCloseNavigateAcrossStores) {
     });
   }
   for (std::thread& t : threads) t.join();
+  done.store(true);
+  sampler.join();
 
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(navigations.load(), 0u);
+  EXPECT_GT(samples.load(), 0u);
+  EXPECT_LE(max_idle.load(), 1u);
   CatalogStats stats = catalog->stats();
   EXPECT_EQ(stats.sessions_now, 0u);
-  EXPECT_EQ(stats.open_now, 0u);
-  EXPECT_EQ(stats.opens, stats.closes);
+  // Only the idle store may still be open.
+  EXPECT_LE(stats.open_now, 1u);
+  EXPECT_EQ(stats.idle_now, stats.open_now);
+  EXPECT_EQ(stats.opens, stats.closes + stats.open_now);
   EXPECT_EQ(stats.leases, navigations.load());
   EXPECT_EQ(stats.quota_rejections, quota_hits.load());
+  catalog->CloseIdle();
+  stats = catalog->stats();
+  EXPECT_EQ(stats.open_now, 0u);
+  EXPECT_EQ(stats.opens, stats.closes);
   // leaked=0: nothing stays registered or resident in the pool.
   storage::BufferPoolStats pstats = pool.stats();
   EXPECT_EQ(pstats.stores, 0u);

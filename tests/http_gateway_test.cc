@@ -3,7 +3,8 @@
 // quota rejections on the wire, the RFC 6455 upgrade carrying the
 // navigation line protocol, ping/pong and the closing handshake,
 // slow-client eviction under a tiny write budget, a graceful drain that
-// releases every catalog session (leaked=0), and a many-idle-connection
+// releases every catalog session (leaked=0), warm-store queries that
+// match a fresh executor byte for byte, and a many-idle-connection
 // smoke on one event loop.
 
 #include "http/gateway.h"
@@ -22,6 +23,7 @@
 #include "gtree/builder.h"
 #include "gtree/store.h"
 #include "http/client.h"
+#include "query/executor.h"
 #include "storage/buffer_pool.h"
 
 namespace gmine::http {
@@ -70,6 +72,9 @@ class GatewayFixture {
   }
 
   uint16_t port() const { return gateway_->port(); }
+  std::string store_path(const std::string& name) const {
+    return dir_ + "/" + name + ".gtree";
+  }
   Gateway& gateway() { return *gateway_; }
   core::Catalog& catalog() { return *catalog_; }
   storage::BufferPool& pool() { return pool_; }
@@ -143,6 +148,42 @@ TEST(HttpGatewayTest, RestEndpointsOverOneKeepAliveConnection) {
 
   // Transient REST leases all returned to the catalog.
   core::CatalogStats stats = f.catalog().stats();
+  EXPECT_EQ(stats.sessions_now, 0u);
+  client.Close();
+}
+
+TEST(HttpGatewayTest, WarmStoreQueriesMatchAFreshExecutor) {
+  // Back-to-back REST queries reuse the catalog's idle store; the warm
+  // store must answer byte-for-byte what a freshly opened store does.
+  GatewayFixture f("warm_query");
+  GatewayClient client = f.Connect();
+  auto fresh =
+      std::move(gtree::GTreeStore::Open(f.store_path("s0"))).value();
+  query::Executor executor(fresh.get());
+  const std::vector<std::string> statements = {
+      "MATCH NODES WHERE degree > 6 ORDER BY degree DESC, id ASC LIMIT 5",
+      "MATCH NEIGHBORS(0, 1) ORDER BY id ASC",
+      "SUMMARIZE NODE 10",
+      "EXTRACT CSG FROM {0, 1} BUDGET 12",
+  };
+  for (const std::string& statement : statements) {
+    auto expected = executor.ExecuteText(statement);
+    ASSERT_TRUE(expected.ok()) << statement;
+    const std::string want = query::ResultToJson(expected.value()) + "\n";
+    for (int round = 0; round < 2; ++round) {
+      HttpClientResponse r =
+          std::move(client.Request("POST", "/api/v1/stores/s0/query", "",
+                                   statement))
+              .value();
+      EXPECT_EQ(r.status, 200) << statement;
+      EXPECT_EQ(r.body, want) << statement << " round " << round;
+    }
+  }
+  // One open served all eight requests; s0 stays warm and unleased.
+  core::CatalogStats stats = f.catalog().stats();
+  EXPECT_EQ(stats.opens, 1u);
+  EXPECT_EQ(stats.leases, 2 * statements.size());
+  EXPECT_EQ(stats.idle_now, 1u);
   EXPECT_EQ(stats.sessions_now, 0u);
   client.Close();
 }

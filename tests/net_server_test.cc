@@ -531,6 +531,31 @@ TEST(NetServerTest, ReadOnlyServerRejectsEditOps) {
   server.Stop();
 }
 
+/// Server options for an engine-backed writable server, mirroring
+/// `gmine server --writable on` without --wal: a mutex serializes
+/// ApplyEdit, acks carry lsn=0 and the publishing epoch.
+ServerOptions WritableOptions(core::GMineEngine* eng, uint32_t num_nodes) {
+  auto edit_mu = std::make_shared<std::mutex>();
+  auto tip = std::make_shared<std::atomic<uint32_t>>(num_nodes);
+  ServerOptions sopts;
+  sopts.writable = true;
+  sopts.tip_nodes = [tip] { return tip->load(); };
+  sopts.apply_edit = [eng, edit_mu, tip](graph::GraphEdit edit,
+                                         std::vector<std::string> labels)
+      -> gmine::Result<EditAck> {
+    std::lock_guard<std::mutex> lock(*edit_mu);
+    core::EditStats stats;
+    GMINE_RETURN_IF_ERROR(eng->ApplyEdit(edit, labels, &stats));
+    tip->store(static_cast<uint32_t>(
+        tip->load() + stats.classification.added_vertices -
+        stats.classification.removed_vertices));
+    EditAck ack;
+    ack.epoch = stats.epoch;
+    return ack;
+  };
+  return sopts;
+}
+
 TEST(NetServerTest, WritableServerCommitsEditBatchWithAck) {
   // Engine-backed writable server, mirroring `gmine server --writable
   // on` without --wal: a mutex serializes ApplyEdit, acks carry lsn=0
@@ -551,27 +576,8 @@ TEST(NetServerTest, WritableServerCommitsEditBatchWithAck) {
                                          eopts))
           .value();
 
-  auto edit_mu = std::make_shared<std::mutex>();
-  auto tip = std::make_shared<std::atomic<uint32_t>>(
-      dblp.graph.num_nodes());
-  ServerOptions sopts;
-  sopts.writable = true;
-  core::GMineEngine* eng = engine.get();
-  sopts.tip_nodes = [tip] { return tip->load(); };
-  sopts.apply_edit = [eng, edit_mu, tip](graph::GraphEdit edit,
-                                         std::vector<std::string> labels)
-      -> gmine::Result<EditAck> {
-    std::lock_guard<std::mutex> lock(*edit_mu);
-    core::EditStats stats;
-    GMINE_RETURN_IF_ERROR(eng->ApplyEdit(edit, labels, &stats));
-    tip->store(static_cast<uint32_t>(
-        tip->load() + stats.classification.added_vertices -
-        stats.classification.removed_vertices));
-    EditAck ack;
-    ack.epoch = stats.epoch;
-    return ack;
-  };
-  Server server(&engine->sessions(), sopts);
+  Server server(&engine->sessions(),
+                WritableOptions(engine.get(), dblp.graph.num_nodes()));
   ASSERT_TRUE(server.Start().ok());
 
   Client client;
@@ -631,6 +637,114 @@ TEST(NetServerTest, WritableServerCommitsEditBatchWithAck) {
   server.Stop();
   // Only the engine's own pinned default session remains.
   EXPECT_EQ(engine->sessions().size(), 1u);
+  engine.reset();
+  std::remove(path.c_str());
+}
+
+TEST(NetServerTest, QueryAfterCompactingEditReadsTheLiveStore) {
+  // journal_compact_ops = 1: every edit rewrites the store under the
+  // pool. Queries after it must read the post-edit store — byte for byte
+  // what an executor over the freshly reopened file answers — including
+  // the full-graph cache a CSG extraction built before the edit, and
+  // queries racing further edits must never see a store mid-rewrite.
+  gen::DblpOptions gopts;
+  gopts.levels = 2;
+  gopts.fanout = 3;
+  gopts.leaf_size = 30;
+  gopts.seed = 17;
+  gen::DblpGraph dblp = std::move(gen::GenerateDblp(gopts)).value();
+  std::string path =
+      std::string(::testing::TempDir()) + "/net_compact_query.gtree";
+  core::EngineOptions eopts;
+  eopts.build.levels = 2;
+  eopts.build.fanout = 3;
+  eopts.store.journal_compact_ops = 1;
+  auto engine =
+      std::move(core::GMineEngine::Build(dblp.graph, dblp.labels, path,
+                                         eopts))
+          .value();
+  const uint32_t n = dblp.graph.num_nodes();
+  Server server(&engine->sessions(), WritableOptions(engine.get(), n));
+  ASSERT_TRUE(server.Start().ok());
+
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  const std::string before_csg =
+      StrFormat("query EXTRACT CSG FROM {0, %u} BUDGET 12", dblp.jiawei_han);
+  auto warmed = client.Roundtrip(before_csg);
+  ASSERT_TRUE(warmed.ok());
+  ASSERT_TRUE(warmed.value().ok) << warmed.value().text;
+
+  ASSERT_TRUE(client.Roundtrip("edit add-node Wire Author").ok());
+  ASSERT_TRUE(
+      client.Roundtrip(StrFormat("edit add-edge %u %u 2", n, dblp.jiawei_han))
+          .ok());
+  auto ack = client.Roundtrip("edit apply");
+  ASSERT_TRUE(ack.ok());
+  ASSERT_TRUE(ack.value().ok) << ack.value().text;
+  // The first edit lands in the journal; the second fills it and
+  // compacts.
+  ASSERT_TRUE(client.Roundtrip(StrFormat("edit add-edge %u 0", n)).ok());
+  ack = client.Roundtrip("edit apply");
+  ASSERT_TRUE(ack.ok());
+  ASSERT_TRUE(ack.value().ok) << ack.value().text;
+  EXPECT_EQ(engine->store().journal_ops(), 0u);
+
+  auto fresh = std::move(GTreeStore::Open(path)).value();
+  query::Executor executor(fresh.get());
+  const std::vector<std::string> statements = {
+      StrFormat("MATCH NEIGHBORS(%u, 1) ORDER BY id ASC", n),
+      StrFormat("EXTRACT CSG FROM {%u, %u} BUDGET 12", n, dblp.jiawei_han),
+      "MATCH NODES WHERE label PREFIX \"Wire\"",
+  };
+  for (const std::string& statement : statements) {
+    auto expected = executor.ExecuteText(statement);
+    ASSERT_TRUE(expected.ok()) << statement << ": "
+                               << expected.status().ToString();
+    auto r = client.Roundtrip("query " + statement);
+    ASSERT_TRUE(r.ok()) << statement;
+    ASSERT_TRUE(r.value().ok) << statement << ": " << r.value().text;
+    EXPECT_EQ(r.value().body, query::ResultToJson(expected.value()))
+        << statement;
+  }
+
+  // A reader hammering queries while more compacting edits land.
+  std::atomic<bool> stop{false};
+  std::atomic<int> reader_errors{0};
+  std::atomic<int> reader_queries{0};
+  std::thread reader([&] {
+    Client rc;
+    if (!rc.Connect("127.0.0.1", server.port()).ok()) {
+      reader_errors.fetch_add(1);
+      return;
+    }
+    while (!stop.load()) {
+      auto r = rc.Roundtrip(before_csg);
+      if (!r.ok() || !r.value().ok) reader_errors.fetch_add(1);
+      reader_queries.fetch_add(1);
+    }
+    rc.Close();
+  });
+  // EXPECT, not ASSERT: returning early would skip joining the reader.
+  for (int i = 0; i < 3; ++i) {
+    auto e = client.Roundtrip(StrFormat("edit add-edge %u %d", n, i + 1));
+    EXPECT_TRUE(e.ok());
+    auto applied = client.Roundtrip("edit apply");
+    EXPECT_TRUE(applied.ok() && applied.value().ok)
+        << (applied.ok() ? applied.value().text
+                         : applied.status().ToString());
+  }
+  while (reader_queries.load() < 3 && reader_errors.load() == 0) {
+    std::this_thread::yield();
+  }
+  stop.store(true);
+  reader.join();
+  EXPECT_EQ(reader_errors.load(), 0);
+
+  (void)client.Roundtrip("close");
+  client.Close();
+  server.Stop();
+  fresh.reset();
   engine.reset();
   std::remove(path.c_str());
 }

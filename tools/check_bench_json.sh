@@ -20,7 +20,10 @@
 #     pages_total — the pushdown pruning gate (docs/QUERY.md);
 #   * the http_gateway sweep carries conns / req_per_sec / p99_ns per
 #     entry, conns matching the column — the gateway throughput/latency
-#     record (docs/HTTP.md);
+#     record (docs/HTTP.md); and req/s at its largest connection count
+#     stays >= 1/4 of the 64-connection cell — the connection-cliff
+#     gate (an overflowing listen backlog once cut 256 connections to
+#     ~1% of the 64-connection throughput);
 #   * the outofcore_pagerank sweep carries budget_bytes / graph_bytes /
 #     peak_rss / pool_resident_bytes per entry, with graph_bytes >= 10x
 #     budget_bytes and pool_resident_bytes <= budget_bytes — the
@@ -210,6 +213,39 @@ if isinstance(wal, dict):
         else:
             print(f"check_bench_json: wal_group_commit depth-{depth} "
                   f"sustains {ratio:.1f}x the serial throughput (gate 5x)")
+
+# Connection-cliff gate: the largest connection count must keep at
+# least a quarter of the 64-connection throughput. A listen backlog
+# smaller than the connect burst drops SYNs, each of which then waits
+# out the ~1 s retransmit, so the cliff shows up as a collapse to ~1%,
+# far past this bound; ordinary contention at 4x the connections costs
+# about half.
+CLIFF_FRACTION = 0.25
+gw = kernels.get("http_gateway")
+if isinstance(gw, dict):
+    def rps(col):
+        entry = gw.get(col)
+        v = entry.get("req_per_sec") if isinstance(entry, dict) else None
+        return v if isinstance(v, (int, float)) and math.isfinite(v) \
+            and v > 0 else None
+    base = rps("64")
+    top = max((int(c) for c in gw if c.isdigit()), default=0)
+    if base is None:
+        fail.append("http_gateway: no 64-connection req_per_sec baseline")
+    elif top <= 64 or rps(str(top)) is None:
+        fail.append("http_gateway: no column above 64 connections to "
+                    "check the connection cliff")
+    else:
+        ratio = rps(str(top)) / base
+        if ratio < CLIFF_FRACTION:
+            fail.append(
+                f"http_gateway: {top} connections serve only "
+                f"{ratio:.2f}x the 64-connection req/s (gate: >= "
+                f"{CLIFF_FRACTION}x) — a connection cliff")
+        else:
+            print(f"check_bench_json: http_gateway {top} connections "
+                  f"keep {ratio:.2f}x the 64-connection req/s "
+                  f"(gate {CLIFF_FRACTION}x)")
 
 # Host-core bookkeeping: the parallel sweeps' speedups are meaningless
 # without knowing the cores they ran on, and numbers produced on a
