@@ -18,6 +18,7 @@
 #include "http/client.h"
 #include "http/gateway.h"
 #include "net/client.h"
+#include "net/ops.h"
 #include "net/server.h"
 #include "mining/pagescan_kernels.h"
 #include "query/executor.h"
@@ -909,81 +910,40 @@ Status CmdStats(const CommandLine& cmd, std::string* out) {
 /// One parsed script line.
 struct ServeOp {
   size_t line = 0;       // 1-based script line (for error messages)
-  std::string op;
-  std::string arg;
+  std::string name;      // the op word as written
+  std::string request;   // "<op> [arg]", parsed by net::ParseRequest
 };
 
-/// Runs one op against a session, appending a transcript line.
-/// `executor` serves the `query` op (shared across sessions; its whole
-/// surface is const and thread-safe).
+/// Every op a serve script may use (the `help` answer).
+constexpr char kServeOps[] =
+    "root focus child parent back locate load summary connectivity "
+    "render query help quit";
+
+/// Runs one op against a session, appending a transcript line. Session
+/// and query ops run through net/ops, so the text after `<op> -> ` is
+/// exactly the line protocol's response text (a `render svg` body is
+/// dropped). `executor` serves the `query` op (shared across sessions;
+/// its whole surface is const and thread-safe).
 Status ExecuteServeOp(const ServeOp& op, gtree::NavigationSession& nav,
-                      const query::Executor* executor, std::string* out) {
-  const gtree::GTree& tree = nav.store()->tree();
-  auto focus_name = [&] { return tree.node(nav.focus()).name; };
-  if (op.op == "root") {
-    GMINE_RETURN_IF_ERROR(nav.FocusRoot());
-  } else if (op.op == "focus") {
-    gtree::TreeNodeId id = tree.FindByName(op.arg);
-    if (id == gtree::kInvalidTreeNode) {
-      return Status::NotFound(
-          StrFormat("community '%s' not found", op.arg.c_str()));
-    }
-    GMINE_RETURN_IF_ERROR(nav.FocusNode(id));
-  } else if (op.op == "child") {
-    uint64_t index = 0;
-    if (!ParseUint64(op.arg, &index)) {
-      return Status::InvalidArgument("child expects an index");
-    }
-    GMINE_RETURN_IF_ERROR(nav.FocusChild(index));
-  } else if (op.op == "parent") {
-    GMINE_RETURN_IF_ERROR(nav.FocusParent());
-  } else if (op.op == "back") {
-    GMINE_RETURN_IF_ERROR(nav.Back());
-  } else if (op.op == "locate") {
-    auto v = nav.LocateByLabel(op.arg);
-    if (!v.ok()) return v.status();
-    *out += StrFormat("%s -> node %u focus=%s display=%zu\n",
-                      op.op.c_str(), v.value(), focus_name().c_str(),
-                      nav.context().DisplaySize());
-    return Status::OK();
-  } else if (op.op == "load") {
-    auto payload = nav.LoadFocusSubgraph();
-    if (!payload.ok()) return payload.status();
-    *out += StrFormat("load -> %s: n=%u e=%llu\n", focus_name().c_str(),
-                      payload.value()->subgraph.graph.num_nodes(),
-                      static_cast<unsigned long long>(
-                          payload.value()->subgraph.graph.num_edges()));
-    return Status::OK();
-  } else if (op.op == "connectivity") {
-    *out += StrFormat("connectivity -> %zu context edges\n",
-                      nav.ContextConnectivity().size());
-    return Status::OK();
-  } else if (op.op == "query") {
-    if (op.arg.empty()) {
-      return Status::InvalidArgument("query expects a GQL statement");
-    }
-    auto result = executor->ExecuteText(op.arg);
-    if (!result.ok()) return result.status();
-    const query::QueryStats& s = result.value().stats;
-    *out += StrFormat(
-        "query -> rows=%llu pages_scanned=%llu/%llu pruned=%llu\n",
-        static_cast<unsigned long long>(s.rows_output),
-        static_cast<unsigned long long>(s.pages_scanned),
-        static_cast<unsigned long long>(s.pages_total),
-        static_cast<unsigned long long>(s.pages_pruned));
-    return Status::OK();
-  } else if (op.op == "help") {
-    *out += "help -> ops: root focus child parent back locate load "
-            "connectivity query help quit\n";
-    return Status::OK();
-  } else {
-    return Status::InvalidArgument(
-        StrFormat("unknown serve op '%s' (ops: root focus child parent "
-                  "back locate load connectivity query help quit)",
-                  op.op.c_str()));
+                      const query::Executor& executor, std::string* out) {
+  auto request = net::ParseRequest(op.request);
+  // `open` reports a connection's session; serve sessions are script
+  // indices. Transport-level ops (stats, ping, ...) are refused by
+  // RunSessionOp itself.
+  if (!request.ok() || request.value().op == net::RequestOp::kOpen) {
+    return Status::InvalidArgument(StrFormat(
+        "unknown serve op '%s' (ops: %s)", op.name.c_str(), kServeOps));
   }
-  *out += StrFormat("%s -> focus=%s display=%zu\n", op.op.c_str(),
-                    focus_name().c_str(), nav.context().DisplaySize());
+  net::Response response;
+  if (request.value().op == net::RequestOp::kHelp) {
+    response.text = StrFormat("ops: %s", kServeOps);
+  } else if (request.value().op == net::RequestOp::kQuery) {
+    response = net::RunQueryOp(executor, request.value().arg);
+  } else {
+    response = net::RunSessionOp(request.value(), nav);
+  }
+  if (!response.status.ok()) return response.status;
+  *out += StrFormat("%s -> %s\n", op.name.c_str(), response.text.c_str());
   return Status::OK();
 }
 
@@ -1021,13 +981,8 @@ Status ParseServeScript(const std::string& body, size_t num_sessions,
     std::string_view rest = TrimWhitespace(line.substr(sp + 1));
     ServeOp op;
     op.line = line_no;
-    size_t op_end = rest.find(' ');
-    if (op_end == std::string_view::npos) {
-      op.op.assign(rest);
-    } else {
-      op.op.assign(rest.substr(0, op_end));
-      op.arg.assign(TrimWhitespace(rest.substr(op_end + 1)));
-    }
+    op.name.assign(rest.substr(0, rest.find(' ')));
+    op.request.assign(rest);
     (*queues)[session].push_back(std::move(op));
   }
   return Status::OK();
@@ -1089,21 +1044,21 @@ Status CmdServe(const CommandLine& cmd, std::string* out) {
   ParallelFor(0, ids.size(), 1, static_cast<int>(threads), [&](size_t i) {
     for (const ServeOp& op : queues[i]) {
       ++executed[i];
-      if (op.op == "quit") {
+      if (op.name == "quit") {
         // Stop this session's queue; other sessions keep running.
         transcripts[i] += StrFormat("[s%zu] quit -> done\n", i);
         break;
       }
       std::string result;
       Status st = pool.WithSession(ids[i], [&](gtree::NavigationSession& nav) {
-        return ExecuteServeOp(op, nav, &executor, &result);
+        return ExecuteServeOp(op, nav, executor, &result);
       });
       if (st.ok()) {
         transcripts[i] += StrFormat("[s%zu] %s", i, result.c_str());
       } else {
         transcripts[i] +=
             StrFormat("[s%zu] %s (script line %zu) -> error: %s\n", i,
-                      op.op.c_str(), op.line, st.ToString().c_str());
+                      op.name.c_str(), op.line, st.ToString().c_str());
       }
     }
   });

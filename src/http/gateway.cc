@@ -5,7 +5,9 @@
 #include <utility>
 
 #include "core/views.h"
+#include "net/ops.h"
 #include "query/executor.h"
+#include "util/json.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
@@ -34,7 +36,7 @@ void FillError(const Status& status, HttpResponse* response) {
   response->content_type = "application/json";
   response->body = StrFormat(
       "{\"error\":\"%s\",\"code\":\"%s\"}\n",
-      net::JsonEscape(status.message()).c_str(),
+      JsonEscape(status.message()).c_str(),
       StatusCodeName(status.code()));
 }
 
@@ -68,7 +70,7 @@ std::string StoreInfoJson(const core::CatalogStoreInfo& info) {
       "{\"name\":\"%s\",\"open\":%s,\"sessions\":%zu,\"quota\":%zu,"
       "\"file_size\":%llu,\"communities\":%u,\"leaves\":%u,"
       "\"height\":%u,\"labels\":%zu}",
-      net::JsonEscape(info.name).c_str(), info.open ? "true" : "false",
+      JsonEscape(info.name).c_str(), info.open ? "true" : "false",
       info.live_sessions, info.quota,
       static_cast<unsigned long long>(info.file_size), info.communities,
       info.leaves, info.height, info.labels);
@@ -81,10 +83,10 @@ std::string JobJson(const MineJobInfo& info) {
       "\"iteration\":%u,\"pages_scanned\":%llu,\"pages_total\":%llu,"
       "\"delta\":%.6g}",
       static_cast<unsigned long long>(info.id),
-      net::JsonEscape(info.store).c_str(),
-      net::JsonEscape(info.kernel).c_str(),
-      net::JsonEscape(info.state).c_str(),
-      net::JsonEscape(info.engine).c_str(), info.progress.iteration,
+      JsonEscape(info.store).c_str(),
+      JsonEscape(info.kernel).c_str(),
+      JsonEscape(info.state).c_str(),
+      JsonEscape(info.engine).c_str(), info.progress.iteration,
       static_cast<unsigned long long>(info.progress.pages_scanned),
       static_cast<unsigned long long>(info.progress.pages_total),
       info.progress.delta);
@@ -93,7 +95,7 @@ std::string JobJson(const MineJobInfo& info) {
   }
   if (!info.error.empty()) {
     out += StrFormat(",\"error\":\"%s\"",
-                     net::JsonEscape(info.error).c_str());
+                     JsonEscape(info.error).c_str());
   }
   out += "}\n";
   return out;
@@ -259,7 +261,7 @@ void Gateway::Route(const std::shared_ptr<GwConn>& conn,
     response->extra_headers.emplace_back("Location", location);
     response->body = StrFormat(
         "{\"error\":\"moved permanently\",\"location\":\"%s\"}\n",
-        net::JsonEscape(location).c_str());
+        JsonEscape(location).c_str());
     return;
   }
 
@@ -332,7 +334,7 @@ void Gateway::Route(const std::shared_ptr<GwConn>& conn,
       first = false;
       body += StrFormat(
           "{\"name\":\"%s\",\"open\":%s,\"sessions\":%zu,\"quota\":%zu}",
-          net::JsonEscape(info.name).c_str(),
+          JsonEscape(info.name).c_str(),
           info.open ? "true" : "false", info.live_sessions, info.quota);
     }
     body += "]}\n";
@@ -386,8 +388,8 @@ void Gateway::Route(const std::shared_ptr<GwConn>& conn,
         "{\"job\":%llu,\"kernel\":\"%s\",\"store\":\"%s\","
         "\"poll\":\"/api/v1/jobs/%llu\"}\n",
         (unsigned long long)job_id.value(),
-        net::JsonEscape(kernel).c_str(),
-        net::JsonEscape(store_name).c_str(),
+        JsonEscape(kernel).c_str(),
+        JsonEscape(store_name).c_str(),
         (unsigned long long)job_id.value());
     return;
   }
@@ -486,9 +488,9 @@ void Gateway::Route(const std::shared_ptr<GwConn>& conn,
       response->body = StrFormat(
           "{\"focus\":\"%s\",\"depth\":%u,\"children\":%zu,"
           "\"display\":%zu,\"path\":\"%s\"}\n",
-          net::JsonEscape(focus.name).c_str(), focus.depth,
+          JsonEscape(focus.name).c_str(), focus.depth,
           focus.children.size(), nav.context().DisplaySize(),
-          net::JsonEscape(JoinStrings(names, "/")).c_str());
+          JsonEscape(JoinStrings(names, "/")).c_str());
       return Status::OK();
     });
     if (!status.ok()) FillError(status, response);
@@ -645,7 +647,6 @@ std::string Gateway::ExecuteWsOp(const std::shared_ptr<GwConn>& conn,
     return encode();
   }
   const net::Request& request = parsed.value();
-  const gtree::GTree& tree = conn->lease.store()->tree();
 
   switch (request.op) {
     case net::RequestOp::kHelp:
@@ -670,126 +671,27 @@ std::string Gateway::ExecuteWsOp(const std::shared_ptr<GwConn>& conn,
           static_cast<unsigned long long>(conn->lease.id()));
       return encode();
     case net::RequestOp::kQuery: {
-      if (request.arg.empty()) {
-        response.status =
-            Status::InvalidArgument("query expects a GQL statement");
-        return encode();
-      }
       query::Executor executor(conn->lease.store());
-      auto result = executor.ExecuteText(request.arg);
-      if (!result.ok()) {
-        response.status = result.status();
-        return encode();
-      }
-      const query::QueryStats& qs = result.value().stats;
-      response.text = StrFormat(
-          "rows=%llu pages_scanned=%llu/%llu pruned=%llu",
-          (unsigned long long)qs.rows_output,
-          (unsigned long long)qs.pages_scanned,
-          (unsigned long long)qs.pages_total,
-          (unsigned long long)qs.pages_pruned);
-      response.body = query::ResultToJson(result.value());
-      response.has_body = true;
+      response = net::RunQueryOp(executor, request.arg);
       return encode();
     }
     default:
       break;
   }
 
-  // Navigation ops against the pinned catalog session — the same
-  // semantics as the line-protocol server (net/server.cc).
-  response.status = conn->lease.With([&](gtree::NavigationSession& nav)
-                                         -> Status {
-    auto focus_name = [&] { return tree.node(nav.focus()).name; };
-    auto nav_text = [&] {
-      return StrFormat("focus=%s display=%zu", focus_name().c_str(),
-                       nav.context().DisplaySize());
-    };
-    switch (request.op) {
-      case net::RequestOp::kOpen:
-        response.text = StrFormat(
-            "session %llu store=%s %s",
-            static_cast<unsigned long long>(conn->lease.id()),
-            conn->lease.store_name().c_str(), nav_text().c_str());
-        return Status::OK();
-      case net::RequestOp::kRoot:
-        GMINE_RETURN_IF_ERROR(nav.FocusRoot());
-        break;
-      case net::RequestOp::kFocus: {
-        const gtree::TreeNodeId id = tree.FindByName(request.arg);
-        if (id == gtree::kInvalidTreeNode) {
-          return Status::NotFound(StrFormat("community '%s' not found",
-                                            request.arg.c_str()));
-        }
-        GMINE_RETURN_IF_ERROR(nav.FocusNode(id));
-        break;
-      }
-      case net::RequestOp::kChild: {
-        uint64_t index = 0;
-        if (!ParseUint64(request.arg, &index)) {
-          return Status::InvalidArgument("child expects an index");
-        }
-        GMINE_RETURN_IF_ERROR(nav.FocusChild(index));
-        break;
-      }
-      case net::RequestOp::kParent:
-        GMINE_RETURN_IF_ERROR(nav.FocusParent());
-        break;
-      case net::RequestOp::kBack:
-        GMINE_RETURN_IF_ERROR(nav.Back());
-        break;
-      case net::RequestOp::kLocate: {
-        auto v = nav.LocateByLabel(request.arg);
-        if (!v.ok()) return v.status();
-        response.text =
-            StrFormat("node %u %s", v.value(), nav_text().c_str());
-        return Status::OK();
-      }
-      case net::RequestOp::kLoad: {
-        auto payload = nav.LoadFocusSubgraph();
-        if (!payload.ok()) return payload.status();
-        response.text = StrFormat(
-            "leaf=%s n=%u e=%llu", focus_name().c_str(),
-            payload.value()->subgraph.graph.num_nodes(),
-            static_cast<unsigned long long>(
-                payload.value()->subgraph.graph.num_edges()));
-        return Status::OK();
-      }
-      case net::RequestOp::kSummary: {
-        std::vector<std::string> path;
-        for (gtree::TreeNodeId id : tree.PathFromRoot(nav.focus())) {
-          path.push_back(tree.node(id).name);
-        }
-        response.text = StrFormat(
-            "focus=%s depth=%u children=%zu display=%zu path=%s",
-            focus_name().c_str(), tree.node(nav.focus()).depth,
-            tree.node(nav.focus()).children.size(),
-            nav.context().DisplaySize(), JoinStrings(path, "/").c_str());
-        return Status::OK();
-      }
-      case net::RequestOp::kConnectivity:
-        response.text =
-            StrFormat("edges=%zu", nav.ContextConnectivity().size());
-        return Status::OK();
-      case net::RequestOp::kRender: {
-        if (request.arg != "svg") {
-          return Status::InvalidArgument(
-              "render supports exactly one format: 'render svg'");
-        }
-        auto svg = core::HierarchyViewSvgString(
-            tree, nav.context(), nav.store()->connectivity());
-        if (!svg.ok()) return svg.status();
-        response.body = std::move(svg).value();
-        response.has_body = true;
-        response.text = StrFormat("svg %s", focus_name().c_str());
-        return Status::OK();
-      }
-      default:
-        return Status::Internal("unhandled op");
-    }
-    response.text = nav_text();
+  // Navigation ops against the pinned catalog session (net/ops).
+  Status run = conn->lease.With([&](gtree::NavigationSession& nav) {
+    response = net::RunSessionOp(request, nav);
     return Status::OK();
   });
+  if (!run.ok()) {
+    response.status = std::move(run);
+  } else if (response.status.ok() && request.op == net::RequestOp::kOpen) {
+    response.text.insert(
+        0, StrFormat("session %llu store=%s ",
+                     static_cast<unsigned long long>(conn->lease.id()),
+                     conn->lease.store_name().c_str()));
+  }
   return encode();
 }
 

@@ -9,7 +9,6 @@
 #include "mining/degree.h"
 #include "mining/pagerank.h"
 #include "mining/pagescan_kernels.h"
-#include "net/protocol.h"
 #include "storage/page_scan.h"
 #include "util/string_util.h"
 

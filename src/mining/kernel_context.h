@@ -2,8 +2,7 @@
 // every mining kernel (docs/OUTOFCORE.md). Before it, each kernel's
 // Options struct grew its own `threads` field (and would have grown its
 // own budget/cancel fields next); now the per-kernel Options embed a
-// KernelContext and keep their legacy fields only as deprecated compat
-// shims resolved through ResolveThreads().
+// KernelContext instead.
 //
 // The context also carries what long-running, page-at-a-time kernels
 // (mining/pagescan_kernels.h) need: a cooperative cancellation hook
@@ -38,8 +37,6 @@ struct KernelProgress {
 /// kernel accepts that.
 struct KernelContext {
   /// Worker threads (util/parallel.h semantics): 0 = auto, 1 = serial.
-  /// Supersedes the deprecated per-Options `threads` fields; see
-  /// ResolveThreads().
   int threads = 0;
 
   /// Soft memory budget for the kernel's working set, in bytes. 0 = no
@@ -64,13 +61,6 @@ struct KernelContext {
   /// Reports progress when a hook is set.
   void Report(const KernelProgress& p) const {
     if (progress) progress(p);
-  }
-
-  /// Compat shim for the deprecated per-Options `threads` fields: an
-  /// explicit context thread count wins; otherwise the legacy field
-  /// (which old callers may still set) is honored.
-  int ResolveThreads(int legacy_threads) const {
-    return threads != 0 ? threads : legacy_threads;
   }
 };
 

@@ -30,8 +30,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "util/status.h"
 
@@ -152,16 +150,6 @@ gmine::Result<ResponseHead> ParseResponseHead(std::string_view line);
 /// Multi-line usage text listing every op (HELP's payload, one line on
 /// the wire after newline collapsing; also used by docs and tests).
 std::string ProtocolHelpText();
-
-/// Escapes a string for embedding in a JSON double-quoted literal.
-std::string JsonEscape(std::string_view s);
-
-/// Parses a single-line flat JSON object whose values are all strings,
-/// e.g. {"op":"focus","arg":"s003"} -> [("op","focus"),("arg","s003")].
-/// InvalidArgument on anything else (nested values, numbers, trailing
-/// garbage).
-gmine::Result<std::vector<std::pair<std::string, std::string>>>
-ParseJsonStringObject(std::string_view line);
 
 }  // namespace gmine::net
 

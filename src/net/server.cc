@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 
-#include "core/views.h"
 #include "gtree/navigation.h"
+#include "net/ops.h"
 #include "storage/buffer_pool.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -369,37 +369,21 @@ Response Server::Execute(const Request& request, Conn& conn,
       // run outside WithSession and never poison the session on error.
       // They still hold the epoch gate: an edit that compacts or swaps
       // the store waits for them, and the next query sees its result.
-      if (request.arg.empty()) {
-        response.status =
-            Status::InvalidArgument("query expects a GQL statement");
-        return response;
-      }
-      gmine::Result<query::QueryResult> result =
-          Status::Internal("query did not run");
+      query::QueryStats qs;
       (void)pool_->WithStore(
           [&](const gtree::GTreeStore& store, uint64_t epoch) {
-            result = ExecutorFor(store, epoch).ExecuteText(request.arg);
+            response = RunQueryOp(ExecutorFor(store, epoch), request.arg,
+                                  &qs);
             return Status::OK();
           });
-      if (!result.ok()) {
-        response.status = result.status();
-        return response;
+      if (response.status.ok()) {
+        query_count_.fetch_add(1, std::memory_order_relaxed);
+        query_rows_.fetch_add(qs.rows_output, std::memory_order_relaxed);
+        query_pages_scanned_.fetch_add(qs.pages_scanned,
+                                       std::memory_order_relaxed);
+        query_pages_pruned_.fetch_add(qs.pages_pruned,
+                                      std::memory_order_relaxed);
       }
-      const query::QueryStats& qs = result.value().stats;
-      query_count_.fetch_add(1, std::memory_order_relaxed);
-      query_rows_.fetch_add(qs.rows_output, std::memory_order_relaxed);
-      query_pages_scanned_.fetch_add(qs.pages_scanned,
-                                     std::memory_order_relaxed);
-      query_pages_pruned_.fetch_add(qs.pages_pruned,
-                                    std::memory_order_relaxed);
-      response.text = StrFormat(
-          "rows=%llu pages_scanned=%llu/%llu pruned=%llu",
-          (unsigned long long)qs.rows_output,
-          (unsigned long long)qs.pages_scanned,
-          (unsigned long long)qs.pages_total,
-          (unsigned long long)qs.pages_pruned);
-      response.body = query::ResultToJson(result.value());
-      response.has_body = true;
       return response;
     }
     default:
@@ -408,107 +392,22 @@ Response Server::Execute(const Request& request, Conn& conn,
 
   // Everything else runs against the connection's session.
   gtree::TreeNodeId focus_after = gtree::kInvalidTreeNode;
-  bool focus_changed = false;
-  response.status = pool_->WithSession(
-      conn.session, [&](gtree::NavigationSession& nav) -> Status {
-        const gtree::GTree& tree = nav.store()->tree();
-        auto focus_name = [&] { return tree.node(nav.focus()).name; };
-        auto nav_text = [&] {
-          return StrFormat("focus=%s display=%zu", focus_name().c_str(),
-                           nav.context().DisplaySize());
-        };
-        switch (request.op) {
-          case RequestOp::kOpen:
-            response.text = StrFormat(
-                "session %llu %s",
-                static_cast<unsigned long long>(conn.session),
-                nav_text().c_str());
-            return Status::OK();
-          case RequestOp::kRoot:
-            GMINE_RETURN_IF_ERROR(nav.FocusRoot());
-            break;
-          case RequestOp::kFocus: {
-            gtree::TreeNodeId id = tree.FindByName(request.arg);
-            if (id == gtree::kInvalidTreeNode) {
-              return Status::NotFound(StrFormat(
-                  "community '%s' not found", request.arg.c_str()));
-            }
-            GMINE_RETURN_IF_ERROR(nav.FocusNode(id));
-            break;
-          }
-          case RequestOp::kChild: {
-            uint64_t index = 0;
-            if (!ParseUint64(request.arg, &index)) {
-              return Status::InvalidArgument("child expects an index");
-            }
-            GMINE_RETURN_IF_ERROR(nav.FocusChild(index));
-            break;
-          }
-          case RequestOp::kParent:
-            GMINE_RETURN_IF_ERROR(nav.FocusParent());
-            break;
-          case RequestOp::kBack:
-            GMINE_RETURN_IF_ERROR(nav.Back());
-            break;
-          case RequestOp::kLocate: {
-            auto v = nav.LocateByLabel(request.arg);
-            if (!v.ok()) return v.status();
-            response.text = StrFormat("node %u %s", v.value(),
-                                      nav_text().c_str());
-            focus_after = nav.focus();
-            focus_changed = true;
-            return Status::OK();
-          }
-          case RequestOp::kLoad: {
-            auto payload = nav.LoadFocusSubgraph();
-            if (!payload.ok()) return payload.status();
-            response.text = StrFormat(
-                "leaf=%s n=%u e=%llu", focus_name().c_str(),
-                payload.value()->subgraph.graph.num_nodes(),
-                static_cast<unsigned long long>(
-                    payload.value()->subgraph.graph.num_edges()));
-            return Status::OK();
-          }
-          case RequestOp::kSummary: {
-            std::vector<std::string> path;
-            for (gtree::TreeNodeId id : tree.PathFromRoot(nav.focus())) {
-              path.push_back(tree.node(id).name);
-            }
-            response.text = StrFormat(
-                "focus=%s depth=%u children=%zu display=%zu path=%s",
-                focus_name().c_str(), tree.node(nav.focus()).depth,
-                tree.node(nav.focus()).children.size(),
-                nav.context().DisplaySize(),
-                JoinStrings(path, "/").c_str());
-            return Status::OK();
-          }
-          case RequestOp::kConnectivity:
-            response.text = StrFormat("edges=%zu",
-                                      nav.ContextConnectivity().size());
-            return Status::OK();
-          case RequestOp::kRender: {
-            if (request.arg != "svg") {
-              return Status::InvalidArgument(
-                  "render supports exactly one format: 'render svg'");
-            }
-            auto svg = core::HierarchyViewSvgString(
-                tree, nav.context(), nav.store()->connectivity());
-            if (!svg.ok()) return svg.status();
-            response.body = std::move(svg).value();
-            response.has_body = true;
-            response.text = StrFormat("svg %s", focus_name().c_str());
-            return Status::OK();
-          }
-          default:
-            return Status::Internal("unhandled op");
+  Status run = pool_->WithSession(
+      conn.session, [&](gtree::NavigationSession& nav) {
+        response = RunSessionOp(request, nav);
+        if (response.status.ok() && MovesFocus(request.op)) {
+          focus_after = nav.focus();
         }
-        // Shared tail of the plain focus-moving ops.
-        response.text = nav_text();
-        focus_after = nav.focus();
-        focus_changed = true;
         return Status::OK();
       });
-  if (response.status.ok() && focus_changed && options_.prefetch &&
+  if (!run.ok()) {
+    response.status = std::move(run);
+  } else if (response.status.ok() && request.op == RequestOp::kOpen) {
+    response.text.insert(
+        0, StrFormat("session %llu ",
+                     static_cast<unsigned long long>(conn.session)));
+  }
+  if (focus_after != gtree::kInvalidTreeNode && options_.prefetch &&
       prefetcher_ != nullptr) {
     // Best-effort hint: the pages one child/load step away.
     (void)prefetcher_->EnqueueChildren(focus_after,

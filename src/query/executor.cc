@@ -11,6 +11,7 @@
 #include "mining/pagescan_kernels.h"
 #include "query/parser.h"
 #include "storage/page_scan.h"
+#include "util/json.h"
 #include "util/string_util.h"
 
 namespace gmine::query {
@@ -178,26 +179,6 @@ bool RowLess(const Row& a, const Row& b,
 std::vector<std::string> ProjectRow(const Row& row) {
   return {StrFormat("%u", row.id), row.label, row.community,
           StrFormat("%u", row.degree)};
-}
-
-void AppendJsonString(std::string_view s, std::string* out) {
-  *out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += StrFormat("\\u%04x", c);
-        } else {
-          *out += c;
-        }
-    }
-  }
-  *out += '"';
 }
 
 }  // namespace
@@ -517,7 +498,9 @@ std::string ResultToJson(const QueryResult& result) {
   std::string out = "{\"columns\":[";
   for (size_t i = 0; i < result.columns.size(); ++i) {
     if (i > 0) out += ',';
-    AppendJsonString(result.columns[i], &out);
+    out += '"';
+    out += JsonEscape(result.columns[i]);
+    out += '"';
   }
   out += "],\"rows\":[";
   for (size_t i = 0; i < result.rows.size(); ++i) {
@@ -525,7 +508,9 @@ std::string ResultToJson(const QueryResult& result) {
     out += '[';
     for (size_t j = 0; j < result.rows[i].size(); ++j) {
       if (j > 0) out += ',';
-      AppendJsonString(result.rows[i][j], &out);
+      out += '"';
+      out += JsonEscape(result.rows[i][j]);
+      out += '"';
     }
     out += ']';
   }

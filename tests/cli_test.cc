@@ -240,7 +240,8 @@ TEST(CliTest, ServeHelpAndQuitOps) {
                   .ok())
       << out;
   EXPECT_NE(out.find("[s0] help -> ops: root focus child parent back "
-                     "locate load connectivity query help quit"),
+                     "locate load summary connectivity render query help "
+                     "quit"),
             std::string::npos)
       << out;
   EXPECT_NE(out.find("[s0] quit -> done"), std::string::npos);

@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -71,13 +74,20 @@ ServerFixture MakeFixture(const char* name) {
 
 /// Runs `requests` through one fresh connection; returns the transcript
 /// as "text|text|..." of response texts (ERRs as "ERR:<code>").
+/// `before(i)` runs before request i is sent and `after(i)` once its
+/// reply arrived, when set.
 std::string DriveClient(uint16_t port,
-                        const std::vector<std::string>& requests) {
+                        const std::vector<std::string>& requests,
+                        const std::function<void(size_t)>& before = nullptr,
+                        const std::function<void(size_t)>& after = nullptr) {
   Client client;
   if (!client.Connect("127.0.0.1", port).ok()) return "<connect failed>";
   std::string transcript;
-  for (const std::string& r : requests) {
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const std::string& r = requests[i];
+    if (before) before(i);
     auto response = client.Roundtrip(r);
+    if (after) after(i);
     if (!response.ok()) {
       transcript += "!" + response.status().ToString();
       break;
@@ -181,12 +191,32 @@ TEST(NetServerTest, FourConcurrentClientsDeterministicTranscripts) {
       {"focus s001", "child 0", "load", "connectivity", "summary"},
       {"locate Jiawei Han", "load", "root", "child 0", "summary"},
   };
+  // Clients 0 and 2 both load leaf s002 (request 2). Two misses that
+  // race both read the page from disk (neither waits for the other), so
+  // client 2's load waits for client 0's reply: it then hits the page
+  // client 0's session read — the shared hit asserted below.
+  constexpr size_t kLoad = 2;
+  std::promise<void> s002_loaded;
+  std::shared_future<void> s002_ready = s002_loaded.get_future().share();
   std::vector<std::string> transcripts(scripts.size());
   std::vector<std::thread> threads;
   threads.reserve(scripts.size());
   for (size_t i = 0; i < scripts.size(); ++i) {
     threads.emplace_back([&, i] {
-      transcripts[i] = DriveClient(server.port(), scripts[i]);
+      std::function<void(size_t)> before;
+      std::function<void(size_t)> after;
+      if (i == 0) {
+        after = [&](size_t r) {
+          if (r == kLoad) s002_loaded.set_value();
+        };
+      } else if (i == 2) {
+        // Bounded, so a client 0 that never gets there fails the
+        // assertions below instead of hanging the test.
+        before = [&](size_t r) {
+          if (r == kLoad) s002_ready.wait_for(std::chrono::seconds(30));
+        };
+      }
+      transcripts[i] = DriveClient(server.port(), scripts[i], before, after);
     });
   }
   for (std::thread& t : threads) t.join();
