@@ -216,7 +216,7 @@ std::string SerializeGraph(const Graph& g) {
   return blob;
 }
 
-Result<Graph> DeserializeGraph(std::string_view blob) {
+Status ParseGraphBlob(std::string_view blob, GraphBlobParts* out) {
   if (blob.size() < 12 + 8) return Status::Corruption("graph blob too short");
   std::string_view body = blob.substr(0, blob.size() - 8);
   std::string_view tail = blob.substr(blob.size() - 8);
@@ -236,12 +236,24 @@ Result<Graph> DeserializeGraph(std::string_view blob) {
     return Status::Corruption("graph blob unsupported version");
   }
   if (!GetFixed32(&in, &flags)) return Status::Corruption("graph blob flags");
+  out->directed = flags & 1;
   uint32_t n = 0;
   uint64_t arcs = 0;
   if (!GetVarint32(&in, &n) || !GetVarint64(&in, &arcs)) {
     return Status::Corruption("graph blob counts");
   }
-  std::vector<uint64_t> offsets(n + 1, 0);
+  // Every offset delta takes at least one byte, and every arc at least
+  // five: a corrupt count must not size a huge allocation.
+  if (n > in.size() || arcs > in.size() / 5) {
+    return Status::Corruption("graph blob counts exceed the blob");
+  }
+  // The arrays are filled in locals that take over out's buffers and
+  // hand them back at the end: written through `out`, the vectors'
+  // ends would be reloaded after every out-of-line varint call. On
+  // error the arrays of *out are left empty.
+  std::vector<uint64_t> offsets = std::move(out->offsets);
+  ResizeExact(offsets, n + 1);
+  offsets[0] = 0;
   uint64_t acc = 0;
   for (uint32_t u = 1; u <= n; ++u) {
     uint64_t delta = 0;
@@ -252,8 +264,14 @@ Result<Graph> DeserializeGraph(std::string_view blob) {
     offsets[u] = acc;
   }
   if (acc != arcs) return Status::Corruption("graph blob arc count mismatch");
-  std::vector<Neighbor> neighbors;
-  neighbors.reserve(arcs);
+  // Appended rather than resized: a full graph's arcs are tens of MB,
+  // not worth zero-filling first.
+  std::vector<Neighbor> neighbors = std::move(out->arcs);
+  neighbors.clear();
+  if (arcs > neighbors.capacity()) {
+    std::vector<Neighbor>().swap(neighbors);
+    neighbors.reserve(arcs);
+  }
   for (uint64_t i = 0; i < arcs; ++i) {
     uint32_t id = 0;
     float w = 0.0f;
@@ -267,17 +285,27 @@ Result<Graph> DeserializeGraph(std::string_view blob) {
   if (!GetFixed32(&in, &has_weights)) {
     return Status::Corruption("graph blob node-weight flag");
   }
-  std::vector<float> node_weights;
+  std::vector<float> node_weights = std::move(out->node_weights);
+  node_weights.clear();
   if (has_weights) {
-    node_weights.resize(n);
+    ResizeExact(node_weights, n);
     for (uint32_t u = 0; u < n; ++u) {
       if (!GetFloat(&in, &node_weights[u])) {
         return Status::Corruption("graph blob node weights");
       }
     }
   }
-  return Graph(std::move(offsets), std::move(neighbors),
-               std::move(node_weights), flags & 1);
+  out->offsets = std::move(offsets);
+  out->arcs = std::move(neighbors);
+  out->node_weights = std::move(node_weights);
+  return Status::OK();
+}
+
+Result<Graph> DeserializeGraph(std::string_view blob) {
+  GraphBlobParts parts;
+  GMINE_RETURN_IF_ERROR(ParseGraphBlob(blob, &parts));
+  return Graph(std::move(parts.offsets), std::move(parts.arcs),
+               std::move(parts.node_weights), parts.directed);
 }
 
 Status WriteGraphFile(const Graph& g, const std::string& path) {

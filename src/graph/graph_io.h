@@ -5,6 +5,7 @@
 #define GMINE_GRAPH_GRAPH_IO_H_
 
 #include <string>
+#include <vector>
 
 #include "graph/graph.h"
 #include "util/status.h"
@@ -35,6 +36,35 @@ std::string FormatMetisGraph(const Graph& g);
 /// Serializes the graph into GMine's binary format (see graph_io.cc for
 /// the layout); the blob embeds a checksum.
 std::string SerializeGraph(const Graph& g);
+
+/// Resizes `v` to `n` elements, allocating exactly `n` when it has to
+/// grow: a buffer reused across blobs then holds its largest blob, not
+/// up to twice that.
+template <typename T>
+void ResizeExact(std::vector<T>& v, size_t n) {
+  if (n > v.capacity()) {
+    std::vector<T>().swap(v);
+    v.reserve(n);
+  }
+  v.resize(n);
+}
+
+/// The decoded arrays of a SerializeGraph blob, in caller-owned storage
+/// so a reader that parses many blobs (the page scan) reuses capacity
+/// instead of allocating a Graph per blob.
+struct GraphBlobParts {
+  bool directed = false;
+  std::vector<uint64_t> offsets;  // num_nodes + 1 entries
+  std::vector<Neighbor> arcs;
+  std::vector<float> node_weights;  // empty = all ones
+};
+
+/// Parses and verifies a blob produced by SerializeGraph into `out`:
+/// the FNV-1a checksum, magic, version, the offsets' sum against the arc
+/// count, every arc id < num_nodes and the node-weight section. The one
+/// parser of the graph blob format (DeserializeGraph wraps it). On error
+/// the arrays of `*out` are unspecified (possibly emptied).
+Status ParseGraphBlob(std::string_view blob, GraphBlobParts* out);
 
 /// Parses a blob produced by SerializeGraph, verifying the checksum.
 Result<Graph> DeserializeGraph(std::string_view blob);

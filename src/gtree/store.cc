@@ -1,9 +1,16 @@
 #include "gtree/store.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <condition_variable>
+#include <exception>
+#include <mutex>
 #include <unordered_set>
+#include <utility>
 
 #include "graph/graph_io.h"
 #include "util/coding.h"
@@ -136,94 +143,19 @@ gmine::Result<GTree> DeserializeTree(std::string_view blob,
   return GTree::FromNodes(std::move(nodes), num_graph_nodes);
 }
 
-/// Serializes a leaf page. The optional boundary section (streamed
-/// stores) trails the graph blob: per member, a varint arc count
-/// followed by delta-encoded global destination ids and float weights.
-/// Legacy pages end at the graph blob, so their bytes are unchanged and
-/// presence of trailing bytes is what signals a boundary section.
-std::string SerializeLeafPayload(
-    const Subgraph& sub,
-    const std::vector<uint32_t>* boundary_offsets = nullptr,
-    const std::vector<graph::Neighbor>* boundary_arcs = nullptr) {
-  std::string blob;
-  PutVarint32(&blob, static_cast<uint32_t>(sub.to_parent.size()));
-  NodeId prev = 0;
-  for (NodeId p : sub.to_parent) {  // ascending (leaf members are sorted)
-    PutVarint32(&blob, p - prev);
-    prev = p;
+/// Reads exactly `size` bytes at `offset` (pread(2), retrying short
+/// reads and EINTR). Positional reads share no file offset, so any
+/// number of threads read one descriptor without a lock.
+bool PreadFull(int fd, char* dst, uint64_t size, uint64_t offset) {
+  while (size > 0) {
+    const ssize_t got = ::pread(fd, dst, size, static_cast<off_t>(offset));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return false;
+    dst += got;
+    size -= static_cast<uint64_t>(got);
+    offset += static_cast<uint64_t>(got);
   }
-  PutLengthPrefixed(&blob, graph::SerializeGraph(sub.graph));
-  if (boundary_offsets != nullptr && !boundary_offsets->empty()) {
-    for (size_t i = 0; i + 1 < boundary_offsets->size(); ++i) {
-      const uint32_t begin = (*boundary_offsets)[i];
-      const uint32_t end = (*boundary_offsets)[i + 1];
-      PutVarint32(&blob, end - begin);
-      NodeId prev_dst = 0;
-      for (uint32_t a = begin; a < end; ++a) {
-        const graph::Neighbor& nb = (*boundary_arcs)[a];
-        PutVarint32(&blob, nb.id - prev_dst);  // ascending per member
-        PutFloat(&blob, nb.weight);
-        prev_dst = nb.id;
-      }
-    }
-  }
-  return blob;
-}
-
-gmine::Result<LeafPayload> DeserializeLeafPayload(std::string_view blob) {
-  LeafPayload out;
-  uint32_t count = 0;
-  if (!GetVarint32(&blob, &count)) {
-    return Status::Corruption("leaf payload: bad member count");
-  }
-  out.subgraph.to_parent.resize(count);
-  NodeId prev = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t delta = 0;
-    if (!GetVarint32(&blob, &delta)) {
-      return Status::Corruption("leaf payload: truncated members");
-    }
-    prev += delta;
-    out.subgraph.to_parent[i] = prev;
-    out.subgraph.to_local.emplace(prev, i);
-  }
-  std::string_view graph_blob;
-  if (!GetLengthPrefixed(&blob, &graph_blob)) {
-    return Status::Corruption("leaf payload: missing graph blob");
-  }
-  auto g = graph::DeserializeGraph(graph_blob);
-  if (!g.ok()) return g.status();
-  out.subgraph.graph = std::move(g).value();
-  if (out.subgraph.graph.num_nodes() != count) {
-    return Status::Corruption("leaf payload: member/graph size mismatch");
-  }
-  if (!blob.empty()) {
-    // Boundary section (streamed stores): per-member global arcs.
-    out.boundary_offsets.reserve(count + 1);
-    out.boundary_offsets.push_back(0);
-    for (uint32_t i = 0; i < count; ++i) {
-      uint32_t degree = 0;
-      if (!GetVarint32(&blob, &degree)) {
-        return Status::Corruption("leaf payload: truncated boundary degree");
-      }
-      NodeId prev_dst = 0;
-      for (uint32_t a = 0; a < degree; ++a) {
-        uint32_t delta = 0;
-        float w = 0.0f;
-        if (!GetVarint32(&blob, &delta) || !GetFloat(&blob, &w)) {
-          return Status::Corruption("leaf payload: truncated boundary arc");
-        }
-        prev_dst += delta;
-        out.boundary_arcs.push_back(graph::Neighbor{prev_dst, w});
-      }
-      out.boundary_offsets.push_back(
-          static_cast<uint32_t>(out.boundary_arcs.size()));
-    }
-    if (!blob.empty()) {
-      return Status::Corruption("leaf payload: trailing bytes after boundary");
-    }
-  }
-  return out;
+  return true;
 }
 
 /// Bytes a header at `t` actually references (the live set): header +
@@ -242,7 +174,7 @@ uint64_t ComputeLiveBytes(const SectionTable& t, const Directory& directory) {
 
 GTreeStore::~GTreeStore() {
   if (pool_ != nullptr) pool_->UnregisterStore(pool_id_);
-  if (file_ != nullptr) std::fclose(file_);
+  if (fd_ >= 0) ::close(fd_);
 }
 
 Status GTreeStore::Create(const std::string& path, const Graph& g,
@@ -303,32 +235,32 @@ Status GTreeStore::Create(const std::string& path, const Graph& g,
 }
 
 Status GTreeStore::LoadMetadata(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return Status::IOError(StrFormat("cannot open %s", path.c_str()));
   }
-  auto read_at = [f](uint64_t off, uint64_t size,
-                     std::string* out) -> Status {
+  auto read_at = [fd](uint64_t off, uint64_t size,
+                      std::string* out) -> Status {
     out->resize(size);
-    if (std::fseek(f, static_cast<long>(off), SEEK_SET) != 0) {
-      return Status::IOError("seek failed");
-    }
-    if (std::fread(out->data(), 1, size, f) != size) {
+    if (!PreadFull(fd, out->data(), size, off)) {
       return Status::IOError("short read");
     }
     return Status::OK();
   };
-  // The new handle replaces the old one only after the whole load
+  // The new descriptor replaces the old one only after the whole load
   // succeeds, so a failed reload leaves the store usable.
   struct Closer {
-    std::FILE* f;
+    int fd;
     ~Closer() {
-      if (f != nullptr) std::fclose(f);
+      if (fd >= 0) ::close(fd);
     }
-  } closer{f};
+  } closer{fd};
 
-  std::fseek(f, 0, SEEK_END);
-  const uint64_t file_size = static_cast<uint64_t>(std::ftell(f));
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    return Status::IOError(StrFormat("cannot stat %s", path.c_str()));
+  }
+  const uint64_t file_size = static_cast<uint64_t>(st.st_size);
 
   std::string header;
   GMINE_RETURN_IF_ERROR(read_at(0, kHeaderSize, &header));
@@ -430,9 +362,9 @@ Status GTreeStore::LoadMetadata(const std::string& path) {
     }
   }
 
-  if (file_ != nullptr) std::fclose(file_);
-  file_ = f;
-  closer.f = nullptr;
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = fd;
+  closer.fd = -1;
   path_ = path;
   file_size_ = file_size;
   hints_ = t.hints;
@@ -442,11 +374,22 @@ Status GTreeStore::LoadMetadata(const std::string& path) {
   conn_ = std::move(conn);
   labels_ = std::move(labels);
   journal_ = std::move(journal);
-  directory_ = std::move(directory);
+  SetDirectory(std::move(directory));
   graph_section_ = PageLocation{t.graph_off, t.graph_size};
   labels_section_ = PageLocation{t.labels_off, t.labels_size};
   live_bytes_ = ComputeLiveBytes(t, directory_);
   return Status::OK();
+}
+
+void GTreeStore::SetDirectory(
+    std::unordered_map<TreeNodeId, PageLocation> directory) {
+  directory_ = std::move(directory);
+  leaf_page_bytes_ = 0;
+  max_leaf_page_bytes_ = 0;
+  for (const auto& [leaf, loc] : directory_) {
+    leaf_page_bytes_ += loc.size;
+    max_leaf_page_bytes_ = std::max(max_leaf_page_bytes_, loc.size);
+  }
 }
 
 gmine::Result<std::unique_ptr<GTreeStore>> GTreeStore::Open(
@@ -465,16 +408,16 @@ gmine::Result<std::unique_ptr<GTreeStore>> GTreeStore::Open(
   return store;
 }
 
-Status GTreeStore::ReadAt(const PageLocation& loc, std::string* out) const {
-  out->resize(loc.size);
-  std::lock_guard<std::mutex> lock(file_mu_);
-  if (std::fseek(file_, static_cast<long>(loc.offset), SEEK_SET) != 0) {
-    return Status::IOError("gtree store: seek failed");
-  }
-  if (std::fread(out->data(), 1, out->size(), file_) != out->size()) {
+Status GTreeStore::ReadAt(const PageLocation& loc, char* dst) const {
+  if (!PreadFull(fd_, dst, loc.size, loc.offset)) {
     return Status::IOError("gtree store: short read");
   }
   return Status::OK();
+}
+
+Status GTreeStore::ReadAt(const PageLocation& loc, std::string* out) const {
+  out->resize(loc.size);
+  return ReadAt(loc, out->data());
 }
 
 gmine::Result<graph::Graph> GTreeStore::LoadFullGraph() const {
@@ -483,10 +426,7 @@ gmine::Result<graph::Graph> GTreeStore::LoadFullGraph() const {
   }
   std::string blob;
   GMINE_RETURN_IF_ERROR(ReadAt(graph_section_, &blob));
-  {
-    std::lock_guard<std::mutex> lock(file_mu_);
-    graph_bytes_read_ += blob.size();
-  }
+  uncached_bytes_read_.fetch_add(blob.size(), std::memory_order_relaxed);
   auto g = graph::DeserializeGraph(blob);
   if (!g.ok() || journal_.empty()) return g;
   // Replay the edit journal: the graph section is the base state and
@@ -517,8 +457,8 @@ gmine::Result<std::shared_ptr<const LeafPayload>> GTreeStore::LoadLeaf(
     return Status::NotFound(
         StrFormat("leaf %u has no page (not a leaf community?)", leaf));
   }
-  // The disk read serializes on the file mutex only, so a load never
-  // blocks pool hits on other pages.
+  // The disk read is a lock-free pread, so a load never blocks pool
+  // hits or other loads.
   std::string blob;
   GMINE_RETURN_IF_ERROR(ReadAt(it->second, &blob));
   // Deserialization runs outside every latch: it is the expensive part
@@ -812,7 +752,7 @@ Status GTreeStore::ApplyUpdate(GTreeStoreUpdate& update,
         }
         return new_id;
       }));
-  directory_ = std::move(new_directory);
+  SetDirectory(std::move(new_directory));
   return Status::OK();
 }
 
@@ -822,16 +762,26 @@ constexpr uint32_t kPageScanTokenMagic = 0x47505331;
 }  // namespace
 
 /// The store-backed PageScan (storage/page_scan.h): ascending leaf-id
-/// walk, one pinned page per Next() call, tokens fingerprinted against
-/// the store state they were minted from.
+/// walk, tokens fingerprinted against the store state they were minted
+/// from. How pages arrive is decided once, at construction: through the
+/// pool when every leaf page fits its budget, around it otherwise (see
+/// GTreeStore::NewPageScan). With SetThreads(N > 1) pool workers decode
+/// the next 2N pages into a ring of slots while Next() hands them out in
+/// order; the caller decodes a page itself whenever no worker has
+/// claimed it yet, so it never idles behind the queue.
 class GTreeLeafPageScan final : public storage::PageScan {
  public:
   GTreeLeafPageScan(const GTreeStore* store, ReaderTag reader)
       : store_(store), reader_(reader) {
     for (const TreeNode& tn : store->tree_.nodes()) {
-      if (tn.IsLeaf()) leaves_.push_back(tn.id);
+      if (!tn.IsLeaf()) continue;
+      leaves_.push_back(tn.id);
+      max_members_ = std::max(max_members_, tn.members.size());
     }
     std::sort(leaves_.begin(), leaves_.end());
+    const uint64_t budget = store->pool_->budget_bytes();
+    cache_ = budget == 0 || store->leaf_page_bytes_ <= budget;
+    serial_ = NewDecoder();
     // Any ApplyUpdate changes file_size_ (append or rewrite), so this
     // is enough to invalidate tokens across store mutations.
     std::string fp;
@@ -843,19 +793,59 @@ class GTreeLeafPageScan final : public storage::PageScan {
     fingerprint_ = Hash64(fp);
   }
 
+  ~GTreeLeafPageScan() override { Seek(0); }
+
   gmine::Result<bool> Next(storage::GraphPage* page) override {
     if (next_ >= leaves_.size()) return false;
-    const TreeNodeId leaf = leaves_[next_];
-    GMINE_ASSIGN_OR_RETURN(std::shared_ptr<const LeafPayload> payload,
-                           store_->LoadLeaf(leaf, reader_));
-    Convert(leaf, *payload, page);
+    if (slots_.empty()) {
+      GMINE_RETURN_IF_ERROR(Fetch(next_, page, serial_.get()));
+      ++next_;
+      return true;
+    }
+    Status status;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      FillWindowLocked();
+      Slot& slot = slots_[next_ % slots_.size()];
+      while (!slot.done) {
+        if (claimed_ == next_) {
+          // No worker has started this page: decode it here.
+          ++claimed_;
+          lock.unlock();
+          status = Fetch(next_, page, serial_.get());
+          break;
+        }
+        if (claimed_ < issued_) {
+          // The page is on its way; decode a later one meanwhile.
+          ClaimAndFetch(serial_.get(), lock);
+        } else {
+          cv_.wait(lock, [&] { return slot.done; });
+        }
+      }
+      if (slot.done) {
+        slot.done = false;
+        if (slot.exception) {
+          // Thrown while decoding ahead: surface it where the serial
+          // path would have thrown it.
+          std::exception_ptr e = std::exchange(slot.exception, nullptr);
+          lock.unlock();
+          Seek(next_);
+          std::rethrow_exception(e);
+        }
+        status = std::move(slot.status);
+        std::swap(*page, slot.page);  // the slot keeps the old buffers
+        Reserve(&slot.page);
+      }
+    }
+    if (!status.ok()) {
+      Seek(next_);  // a retry reads this page again
+      return status;
+    }
     ++next_;
     return true;
-    // The pin (shared_ptr) drops here: at most one frame is held per
-    // call, so the scan runs under any budget fitting one page.
   }
 
-  void Reset() override { next_ = 0; }
+  void Reset() override { Seek(0); }
 
   std::string Checkpoint() const override {
     std::string token;
@@ -881,8 +871,31 @@ class GTreeLeafPageScan final : public storage::PageScan {
     if (pos > leaves_.size()) {
       return Status::InvalidArgument("page scan: token position out of range");
     }
-    next_ = pos;
+    Seek(pos);
     return Status::OK();
+  }
+
+  void SetThreads(int threads) override {
+    // On a pool worker the scan stays serial: Seek waits for queued
+    // read-ahead, which only the pool's other (maybe equally waiting)
+    // workers could run.
+    const size_t participants =
+        internal::InPoolWorker() ? 1
+                                 : static_cast<size_t>(ResolveThreads(threads));
+    const size_t window =
+        participants <= 1 ? 0 : std::min(2 * participants, leaves_.size());
+    const size_t workers =
+        window == 0 ? 0 : std::min(participants - 1, window);
+    if (window == slots_.size() && workers == worker_decoders_.size()) return;
+    Seek(next_);  // no worker runs past here
+    slots_ = std::vector<Slot>(window);
+    for (Slot& slot : slots_) Reserve(&slot.page);
+    worker_decoders_.clear();
+    for (size_t i = 0; i < workers; ++i) {
+      worker_decoders_.push_back(NewDecoder());
+    }
+    idle_decoders_.clear();
+    for (auto& d : worker_decoders_) idle_decoders_.push_back(d.get());
   }
 
   uint32_t num_nodes() const override { return store_->num_graph_nodes_; }
@@ -890,56 +903,187 @@ class GTreeLeafPageScan final : public storage::PageScan {
   bool complete_adjacency() const override { return store_->streamed(); }
 
  private:
-  /// Flattens a leaf payload into global-id CSR rows. Intra arcs map
-  /// through to_parent (ascending, so mapped ids stay sorted); boundary
-  /// arcs are already global and sorted — a two-way merge keeps each
-  /// row sorted by destination.
-  static void Convert(TreeNodeId leaf, const LeafPayload& p,
-                      storage::GraphPage* out) {
-    const Subgraph& sub = p.subgraph;
-    const size_t n = sub.to_parent.size();
-    out->page_id = leaf;
-    out->nodes.assign(sub.to_parent.begin(), sub.to_parent.end());
-    out->arc_offsets.clear();
-    out->arc_offsets.reserve(n + 1);
-    out->arc_offsets.push_back(0);
-    out->arc_dst.clear();
-    out->arc_weight.clear();
-    for (NodeId v = 0; v < n; ++v) {
-      std::span<const graph::Neighbor> intra = sub.graph.Neighbors(v);
-      size_t ii = 0;
-      size_t bi = p.has_boundary() ? p.boundary_offsets[v] : 0;
-      const size_t be = p.has_boundary() ? p.boundary_offsets[v + 1] : 0;
-      while (ii < intra.size() || bi < be) {
-        bool take_intra;
-        NodeId intra_global = 0;
-        if (ii < intra.size()) intra_global = sub.to_parent[intra[ii].id];
-        if (ii >= intra.size()) {
-          take_intra = false;
-        } else if (bi >= be) {
-          take_intra = true;
-        } else {
-          take_intra = intra_global < p.boundary_arcs[bi].id;
-        }
-        if (take_intra) {
-          out->arc_dst.push_back(intra_global);
-          out->arc_weight.push_back(intra[ii].weight);
-          ++ii;
-        } else {
-          out->arc_dst.push_back(p.boundary_arcs[bi].id);
-          out->arc_weight.push_back(p.boundary_arcs[bi].weight);
-          ++bi;
-        }
-      }
-      out->arc_offsets.push_back(static_cast<uint32_t>(out->arc_dst.size()));
+  /// One participant's buffers: the raw page (sized to the largest page
+  /// once; only read-around scans read raw pages) and the parser's
+  /// reusable arrays.
+  struct Decoder {
+    std::unique_ptr<char[]> blob;
+    LeafPageParts parts;
+  };
+
+  /// A decoded page waiting in the read-ahead ring.
+  struct Slot {
+    bool done = false;  // guarded by mu_
+    Status status;
+    std::exception_ptr exception;  // what Fetch threw, if it threw
+    storage::GraphPage page;
+  };
+
+  // Read-ahead buffers are sized here, on the calling thread, for the
+  // largest page the store can hold: a serialized page spends at least
+  // one byte per member and five per arc. Pool workers then never
+  // allocate (which would spread the buffers over their malloc arenas),
+  // and capacity a page does not fill is never touched, so it costs
+  // address space, not resident memory.
+  size_t MaxArcs() const { return store_->max_leaf_page_bytes_ / 5; }
+
+  void Reserve(storage::GraphPage* page) const {
+    page->nodes.reserve(max_members_);
+    page->arc_offsets.reserve(max_members_ + 1);
+    page->arc_dst.reserve(MaxArcs());
+    page->arc_weight.reserve(MaxArcs());
+  }
+
+  std::unique_ptr<Decoder> NewDecoder() const {
+    auto d = std::make_unique<Decoder>();
+    if (!cache_) {
+      d->blob.reset(new char[store_->max_leaf_page_bytes_]);
+      d->parts.members.reserve(max_members_);
+      d->parts.graph.offsets.reserve(max_members_ + 1);
+      d->parts.graph.arcs.reserve(MaxArcs());
+      d->parts.boundary_offsets.reserve(max_members_ + 1);
+      d->parts.boundary_arcs.reserve(MaxArcs());
     }
+    return d;
+  }
+
+  /// Produces page `pos` into `page`. Safe from any thread: the pool,
+  /// LoadLeaf and ReadAt are thread-safe and `d` is the caller's own.
+  Status Fetch(size_t pos, storage::GraphPage* page, Decoder* d) const {
+    GMINE_RETURN_IF_ERROR(Produce(leaves_[pos], page, d));
+    return CheckNodeIds(*page);
+  }
+
+  Status Produce(TreeNodeId leaf, storage::GraphPage* page,
+                 Decoder* d) const {
+    if (cache_) {
+      GMINE_ASSIGN_OR_RETURN(std::shared_ptr<const LeafPayload> payload,
+                             store_->LoadLeaf(leaf, reader_));
+      // The pin (shared_ptr) drops on return: a page stays checked
+      // out only while it is flattened.
+      LeafPayloadToGraphPage(leaf, *payload, page);
+      return Status::OK();
+    }
+    // Read around the pool: use a resident copy, never insert one.
+    if (storage::PagePayload hit =
+            store_->pool_->Lookup(store_->pool_id_, leaf, reader_)) {
+      LeafPayloadToGraphPage(
+          leaf, *std::static_pointer_cast<const LeafPayload>(hit), page);
+      return Status::OK();
+    }
+    auto it = store_->directory_.find(leaf);
+    if (it == store_->directory_.end()) {
+      return Status::NotFound(StrFormat("leaf %u has no page", leaf));
+    }
+    GMINE_RETURN_IF_ERROR(store_->ReadAt(it->second, d->blob.get()));
+    store_->uncached_pages_read_.fetch_add(1, std::memory_order_relaxed);
+    store_->uncached_bytes_read_.fetch_add(it->second.size,
+                                           std::memory_order_relaxed);
+    return DecodeLeafPage(std::string_view(d->blob.get(), it->second.size),
+                          leaf, &d->parts, page);
+  }
+
+  /// Member ids and boundary arcs lie outside the page checksum, and
+  /// the page kernels index O(num_nodes) arrays with them: a page that
+  /// names a node past the graph is corrupt, not a kernel input.
+  Status CheckNodeIds(const storage::GraphPage& page) const {
+    uint32_t max_id = 0;
+    for (uint32_t v : page.nodes) max_id = std::max(max_id, v);
+    for (uint32_t v : page.arc_dst) max_id = std::max(max_id, v);
+    if (page.num_nodes() + page.num_arcs() > 0 &&
+        max_id >= store_->num_graph_nodes_) {
+      return Status::Corruption(
+          StrFormat("leaf page %llu names node %u of a %u-node graph",
+                    static_cast<unsigned long long>(page.page_id), max_id,
+                    store_->num_graph_nodes_));
+    }
+    return Status::OK();
+  }
+
+  /// Opens the window [next_, next_ + slots) to decoders and starts
+  /// pool workers for the pages no decoder has claimed yet. mu_ held.
+  void FillWindowLocked() {
+    issued_ = std::min(leaves_.size(), next_ + slots_.size());
+    while (!idle_decoders_.empty() &&
+           static_cast<size_t>(workers_) < issued_ - claimed_) {
+      Decoder* d = idle_decoders_.back();
+      idle_decoders_.pop_back();
+      ++workers_;
+      internal::SubmitAsync([this, d] { WorkerTask(d); });
+    }
+  }
+
+  /// Claims the first unclaimed page of the window and decodes it into
+  /// its slot, with mu_ released meanwhile. `lock` holds mu_.
+  void ClaimAndFetch(Decoder* d, std::unique_lock<std::mutex>& lock) {
+    const size_t pos = claimed_++;
+    Slot& slot = slots_[pos % slots_.size()];
+    lock.unlock();
+    Status status;
+    std::exception_ptr exception;
+    try {
+      status = Fetch(pos, &slot.page, d);
+    } catch (...) {
+      // A pool worker must not let it escape; Next() rethrows it.
+      exception = std::current_exception();
+    }
+    lock.lock();
+    slot.status = std::move(status);
+    slot.exception = exception;
+    slot.done = true;
+    cv_.notify_all();
+  }
+
+  /// A pool worker's turn: decodes the next unclaimed page, then
+  /// queues itself again while pages remain, so other work waiting for
+  /// the pool runs between pages instead of behind a whole sweep. A
+  /// worker that finds nothing to do hands its decoder back.
+  void WorkerTask(Decoder* d) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!stop_ && claimed_ < issued_) {
+      ClaimAndFetch(d, lock);
+      if (!stop_ && claimed_ < issued_) {
+        internal::SubmitAsync([this, d] { WorkerTask(d); });
+        return;
+      }
+    }
+    idle_decoders_.push_back(d);
+    --workers_;
+    cv_.notify_all();
+  }
+
+  /// Waits out every worker (queued ones included: they see stop_ and
+  /// return at once), empties the ring and repositions at `pos`.
+  void Seek(size_t pos) {
+    std::unique_lock<std::mutex> lock(mu_);
+    stop_ = true;
+    cv_.wait(lock, [&] { return workers_ == 0; });
+    stop_ = false;
+    for (Slot& slot : slots_) slot.done = false;
+    next_ = issued_ = claimed_ = pos;
   }
 
   const GTreeStore* store_;
   ReaderTag reader_;
   std::vector<TreeNodeId> leaves_;
-  size_t next_ = 0;
   uint64_t fingerprint_ = 0;
+  size_t max_members_ = 0;  // of any leaf
+  bool cache_ = true;  // pages go through the pool (store fits it)
+  size_t next_ = 0;    // pages Next() has returned this pass
+  std::unique_ptr<Decoder> serial_;  // the calling thread's decoder
+
+  // Read-ahead (empty ring = serial). Positions [next_, issued_) are
+  // open to decoders; [claimed_, issued_) are not yet taken by one.
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<Slot> slots_;
+  std::vector<std::unique_ptr<Decoder>> worker_decoders_;
+  // Guarded by mu_ (workers_ counts worker tasks queued or running):
+  std::vector<Decoder*> idle_decoders_;
+  size_t issued_ = 0;
+  size_t claimed_ = 0;
+  int workers_ = 0;
+  bool stop_ = false;
 };
 
 std::unique_ptr<storage::PageScan> GTreeStore::NewPageScan(
@@ -1100,8 +1244,8 @@ GTreeStoreStats GTreeStore::stats() const {
   total.evictions = pool.evictions;
   total.resident_bytes = pool.resident_bytes;
   total.pinned_bytes = pool.pinned_bytes;
-  std::lock_guard<std::mutex> lock(file_mu_);
-  total.bytes_read += graph_bytes_read_;
+  total.leaf_loads += uncached_pages_read_.load(std::memory_order_relaxed);
+  total.bytes_read += uncached_bytes_read_.load(std::memory_order_relaxed);
   return total;
 }
 

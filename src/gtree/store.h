@@ -35,9 +35,9 @@
 // surface (LoadLeaf, LoadFullGraph, stats) is const and safe from any
 // number of threads — this is what lets one store serve a pool of
 // NavigationSessions. Frame lookup/insert latching lives in the buffer
-// pool (sharded by (store id, leaf id) hash); the shared FILE* keeps its
-// own mutex for the (seek, read) pairs, and leaf pages decode outside
-// every latch. The metadata accessors (tree/connectivity/labels) are
+// pool (sharded by (store id, leaf id) hash); reads are positional
+// (pread(2) on one descriptor) and take no lock, and leaf pages decode
+// outside every latch. The metadata accessors (tree/connectivity/labels) are
 // immutable after Open and need no locking.
 //
 // There is exactly one cache knob left: the pool's byte budget
@@ -55,7 +55,6 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -66,32 +65,12 @@
 #include "graph/subgraph.h"
 #include "gtree/connectivity.h"
 #include "gtree/gtree.h"
+#include "gtree/leaf_page.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_scan.h"
 #include "util/status.h"
 
 namespace gmine::gtree {
-
-/// A leaf community's materialized payload: the induced subgraph over its
-/// members plus the local<->global id mapping — and, for stores written
-/// by the streaming out-of-core builder (gtree/stream_build.h), the
-/// members' *boundary* arcs (arcs to nodes outside the leaf, global
-/// destination ids). With boundary arcs present, a node's complete
-/// global adjacency lives in exactly its own leaf page, which is what
-/// makes page-at-a-time kernels (mining/pagescan_kernels.h) globally
-/// correct without a resident graph. Legacy stores carry no boundary
-/// section; their bytes are unchanged.
-struct LeafPayload {
-  graph::Subgraph subgraph;
-  /// CSR offsets into boundary_arcs per local member id; empty when the
-  /// page carries no boundary section, size members+1 otherwise.
-  std::vector<uint32_t> boundary_offsets;
-  /// Boundary arcs: destinations are *global* node ids, ascending per
-  /// member.
-  std::vector<graph::Neighbor> boundary_arcs;
-
-  bool has_boundary() const { return !boundary_offsets.empty(); }
-};
 
 /// Store tunables.
 struct GTreeStoreOptions {
@@ -287,8 +266,12 @@ class GTreeStore {
   gmine::Result<graph::Graph> MaterializeFullGraph() const;
 
   /// Opens a pull-based scan over this store's leaf pages in ascending
-  /// tree-node id order (docs/OUTOFCORE.md). Each Next() pins one page
-  /// in the buffer pool for the duration of the call; the scan's
+  /// tree-node id order (docs/OUTOFCORE.md). When the store's leaf
+  /// pages all fit the pool's budget (or the pool is unbounded) the
+  /// scan loads them through LoadLeaf and they stay cached; otherwise
+  /// it reads around the pool: a resident page is used, a missing one
+  /// is read and decoded straight into the scan's page and never
+  /// inserted, so the scan evicts nothing. The scan's
   /// complete_adjacency() reports whether pages carry boundary arcs
   /// (streamed stores) and its checkpoint tokens are bound to this
   /// store's current state. The scan must not outlive the store, and
@@ -329,6 +312,12 @@ class GTreeStore {
   /// Total size of the store file in bytes.
   uint64_t file_size() const { return file_size_; }
 
+  /// Serialized bytes of all live leaf pages, and of the largest one.
+  /// A page scan caches its pages exactly when the first fits the
+  /// pool's budget (NewPageScan).
+  uint64_t leaf_page_bytes() const { return leaf_page_bytes_; }
+  uint64_t max_leaf_page_bytes() const { return max_leaf_page_bytes_; }
+
   /// Bytes the current header actually references: header + metadata
   /// sections + every live page. The remainder of the file is dead
   /// weight left by append-mode updates.
@@ -353,16 +342,20 @@ class GTreeStore {
     uint64_t size = 0;
   };
 
+  /// Adopts `directory` and recounts the leaf page byte totals.
+  void SetDirectory(std::unordered_map<TreeNodeId, PageLocation> directory);
+
   /// (Re)opens `path` and loads every metadata section into this store,
   /// replacing the previous state. Used by Open and the compaction path.
   Status LoadMetadata(const std::string& path);
 
-  /// Reads `loc` from the backing file under file_mu_.
+  /// Reads `loc` from the backing file into `dst` (loc.size bytes).
+  Status ReadAt(const PageLocation& loc, char* dst) const;
   Status ReadAt(const PageLocation& loc, std::string* out) const;
 
   friend class GTreeLeafPageScan;
 
-  std::FILE* file_ = nullptr;
+  int fd_ = -1;
   uint64_t file_size_ = 0;
   /// Bytes referenced by the current header (see live_bytes()).
   uint64_t live_bytes_ = 0;
@@ -378,15 +371,15 @@ class GTreeStore {
   std::vector<graph::GraphEdit> journal_;
 
   std::unordered_map<TreeNodeId, PageLocation> directory_;
+  uint64_t leaf_page_bytes_ = 0;
+  uint64_t max_leaf_page_bytes_ = 0;
   PageLocation graph_section_;
   PageLocation labels_section_;
 
-  // Guards the (seek, read) pairs on the shared file_ handle; every
-  // other member above is immutable after Open.
-  mutable std::mutex file_mu_;
-  // Bytes read for full-graph loads (bypass the page pool); guarded by
-  // file_mu_.
-  mutable uint64_t graph_bytes_read_ = 0;
+  // Reads that bypass the page pool: full-graph loads and the pages a
+  // read-around scan decodes without caching (folded into stats()).
+  mutable std::atomic<uint64_t> uncached_pages_read_{0};
+  mutable std::atomic<uint64_t> uncached_bytes_read_{0};
   // The page pool this store's frames live in, and this store's
   // identity within it. Both immutable after Open.
   storage::BufferPool* pool_ = nullptr;

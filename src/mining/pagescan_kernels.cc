@@ -121,6 +121,7 @@ gmine::Result<PageRankResult> PageRankOverPages(
   const uint64_t pages_total = scan.pages_total();
   const uint64_t opts_hash = OptionsHash(options);
   const KernelContext& ctx = options.context;
+  scan.SetThreads(ctx.threads);
 
   PageRankState st;
   if (options.resume_from.empty()) {
@@ -233,6 +234,7 @@ gmine::Result<DegreeDistribution> DegreeDistributionOverPages(
         "page scan lacks complete adjacency (legacy store)");
   }
   std::vector<uint32_t> degrees(scan.num_nodes(), 0);
+  scan.SetThreads(context.threads);
   scan.Reset();
   GraphPage page;
   uint64_t pages_done = 0;
@@ -260,6 +262,7 @@ gmine::Result<ComponentResult> WeakComponentsOverPages(
   }
   const uint32_t n = scan.num_nodes();
   UnionFind uf(n);
+  scan.SetThreads(context.threads);
   scan.Reset();
   GraphPage page;
   uint64_t pages_done = 0;

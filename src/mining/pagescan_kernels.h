@@ -1,9 +1,10 @@
 // Page-at-a-time mining kernels (docs/OUTOFCORE.md): PageRank/RWR,
 // degree distribution and weak components running over a
 // storage::PageScan instead of a resident graph::Graph. Peak kernel
-// memory is O(num_nodes) scalars (the semi-external model) plus one
-// page — never O(arcs) — so mining works under a hard --mem-budget-mb
-// on stores arbitrarily larger than memory.
+// memory is O(num_nodes) scalars (the semi-external model) plus the
+// scan's decoded pages — one, or 2 x KernelContext::threads with
+// read-ahead — never O(arcs), so mining works under a hard
+// --mem-budget-mb on stores arbitrarily larger than memory.
 //
 // Correctness requires the scan's complete_adjacency() (stores written
 // by the streaming builder): each node's entire global adjacency lives
@@ -11,12 +12,18 @@
 // exactly once. On legacy stores the kernels return NotSupported and
 // callers fall back to the in-memory kernels.
 //
+// Every kernel passes KernelContext::threads to the scan, which then
+// decodes pages ahead on pool workers; the kernel itself consumes pages
+// serially in the scan's fixed order, so results do not depend on the
+// thread count.
+//
 // Restartability: PageRankOverPages checkpoints its full state (rank
 // vectors, dangling mass, sweep counter, scan resume token) through
 // `checkpoint_sink` at page boundaries; feeding the checkpoint back via
 // `resume_from` continues the run with bit-identical results — the
 // page order is fixed and every float operation replays in the same
-// sequence (verified by outofcore_resume_test).
+// sequence (verified by outofcore_resume_test). Tokens count the pages
+// the kernel consumed, never pages decoded ahead.
 
 #ifndef GMINE_MINING_PAGESCAN_KERNELS_H_
 #define GMINE_MINING_PAGESCAN_KERNELS_H_
@@ -51,10 +58,13 @@ struct PageRankOverPagesOptions {
   /// with restart probability c is damping = 1 - c. Sorted ascending
   /// ids recommended (the set is hashed into checkpoints).
   std::vector<graph::NodeId> restart_sources;
-  /// Threads are ignored (the scan is sequential by design); budget,
-  /// cancellation and progress apply. Cancellation is polled at page
-  /// boundaries; a cancelled run emits a final checkpoint through
-  /// `checkpoint_sink` (when set) and returns Aborted.
+  /// `threads` sets the scan's read-ahead (PageScan::SetThreads): pages
+  /// decode in parallel, but the kernel consumes them one at a time in
+  /// scan order, so every float operation happens in the same sequence
+  /// and the result is bit-identical at every thread count.
+  /// Cancellation is polled at page boundaries; a cancelled run emits a
+  /// final checkpoint through `checkpoint_sink` (when set) and returns
+  /// Aborted.
   KernelContext context;
   /// Serialized checkpoint from a previous run; empty = fresh start.
   /// Rejected (InvalidArgument) when minted with different options or

@@ -1,10 +1,13 @@
 // PageScan — the pull-based iterator page-at-a-time mining runs over
 // (docs/OUTOFCORE.md). A scan walks a store's leaf pages in a fixed,
-// deterministic order, materializing one page of adjacency at a time;
-// the backing implementation (gtree::GTreeStore::NewPageScan) checks
-// each page out of the buffer pool for the duration of one Next() call,
-// so a whole scan runs within any pool budget that fits the largest
-// single page.
+// deterministic order and hands out one page of adjacency per Next()
+// call. The backing implementation (gtree::GTreeStore::NewPageScan)
+// decides once per scan how pages reach it: through the buffer pool
+// when all of the store's pages fit its budget, otherwise around it
+// (resident pages are still used, nothing is inserted or evicted), so
+// a scan larger than the pool does not flush everyone else's pages.
+// Either way it holds a bounded number of decoded pages — one, or
+// 2 x threads with read-ahead (SetThreads) — never the whole graph.
 //
 // Checkpoint/resume: Checkpoint() returns an opaque token naming the
 // scan position *and* a fingerprint of the underlying store; Restore()
@@ -48,7 +51,8 @@ struct GraphPage {
 };
 
 /// Pull-based, restartable iterator over a store's pages. Not
-/// thread-safe; each concurrent kernel opens its own scan.
+/// thread-safe; each concurrent kernel opens its own scan. Destroying
+/// a scan waits for its read-ahead to finish, so no work outlives it.
 class PageScan {
  public:
   virtual ~PageScan() = default;
@@ -74,6 +78,14 @@ class PageScan {
 
   /// Pages one full scan visits.
   virtual uint64_t pages_total() const = 0;
+
+  /// Sets how many participants produce pages for the following Next()
+  /// calls (util/parallel.h semantics: 0 = auto, 1 = serial on the
+  /// calling thread, the default). With N > 1 the scan decodes up to 2N
+  /// pages ahead on pool workers while the caller consumes; pages still
+  /// come out one at a time in scan order, and Checkpoint() counts only
+  /// the pages Next() has returned.
+  virtual void SetThreads(int threads) = 0;
 
   /// True when every page carries its nodes' complete global adjacency
   /// (stores written by the streaming builder). False for legacy stores,

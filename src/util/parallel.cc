@@ -9,6 +9,7 @@
 #include <latch>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 namespace gmine {
 namespace {
@@ -160,6 +161,12 @@ void RunChunks(size_t num_chunks, int parallelism,
   done.wait();
   exc.RethrowIfSet();
 }
+
+void SubmitAsync(std::function<void()> task) {
+  ThreadPool::Global().Submit(std::move(task));
+}
+
+bool InPoolWorker() { return t_pool_worker; }
 
 void RunRanks(int ranks, const std::function<void(int)>& fn) {
   if (ranks <= 0) return;

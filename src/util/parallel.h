@@ -54,6 +54,14 @@ void RunChunks(size_t num_chunks, int parallelism,
 /// the calling thread. Rethrows the first exception.
 void RunRanks(int ranks, const std::function<void(int)>& fn);
 
+/// Queues `task` behind the pool's pending work and returns at once;
+/// the caller synchronizes with it.
+void SubmitAsync(std::function<void()> task);
+
+/// True on a pool worker thread. Code there must not wait for work it
+/// queued: with every worker waiting, nothing would run it.
+bool InPoolWorker();
+
 /// Number of fixed-size chunks covering a range of `n` elements.
 inline size_t NumChunks(size_t n, size_t grain) {
   if (grain == 0) grain = 1;

@@ -2,10 +2,12 @@
 // (mining/pagescan_kernels.h): cancel the kernel at every page
 // boundary of the first sweeps, resume each time from the emitted
 // checkpoint, and require the resumed scores to be bit-identical to an
-// uninterrupted run — plus buffer-pool backpressure coverage (the same
-// kernel under a 1 MiB pool budget on a store far larger than that).
+// uninterrupted run, with the resumed runs decoding pages ahead on four
+// threads — plus buffer-pool backpressure coverage (the same kernel
+// under a 1 MiB pool budget on a store far larger than that).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
@@ -42,8 +44,11 @@ Fixture MakeStreamedStore(const char* name, uint32_t n, uint64_t m,
       if (u < arc.id) lines += StrFormat("%u %u\n", u, arc.id);
     }
   }
-  f.edges_path = std::string(::testing::TempDir()) + "/" + name + ".edges";
-  f.store_path = std::string(::testing::TempDir()) + "/" + name + ".gtree";
+  // Per-process names: concurrent runs of this binary never share files.
+  const std::string base = StrFormat("%s/%s.%d", ::testing::TempDir().c_str(),
+                                     name, static_cast<int>(getpid()));
+  f.edges_path = base + ".edges";
+  f.store_path = base + ".gtree";
   EXPECT_TRUE(graph::WriteStringToFile(lines, f.edges_path).ok());
   gtree::StreamBuildOptions options;
   options.leaf_size = leaf_size;
@@ -68,10 +73,14 @@ TEST(OutOfCoreResumeTest, KillAtEveryPageBoundaryResumesBitIdentical) {
 
   PageRankOverPagesOptions base;
   base.max_iterations = 20;
+  base.context.threads = 1;
   auto uninterrupted = PageRankOverPages(*scan, base);
   ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status().ToString();
 
-  // Kill after k pages for every k within the first two sweeps.
+  // Kill after k pages for every k within the first two sweeps. The
+  // killed and resumed runs read ahead on four threads; their tokens
+  // must still name exactly the pages the kernel consumed.
+  base.context.threads = 4;
   for (uint64_t kill_after = 1; kill_after <= 2 * pages; ++kill_after) {
     scan->Reset();
     std::string checkpoint;

@@ -1,6 +1,7 @@
 #include "gtree/stream_build.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <string>
@@ -44,8 +45,11 @@ Fixture MakeFixture(const char* name, uint32_t n = 500, uint64_t m = 2000) {
       }
     }
   }
-  f.edges_path = std::string(::testing::TempDir()) + "/" + name + ".edges";
-  f.store_path = std::string(::testing::TempDir()) + "/" + name + ".gtree";
+  // Per-process names: concurrent runs of this binary never share files.
+  const std::string base = StrFormat("%s/%s.%d", ::testing::TempDir().c_str(),
+                                     name, static_cast<int>(getpid()));
+  f.edges_path = base + ".edges";
+  f.store_path = base + ".gtree";
   EXPECT_TRUE(graph::WriteStringToFile(lines, f.edges_path).ok());
   f.reference = std::move(graph::ReadEdgeListFile(f.edges_path)).value();
   return f;

@@ -27,7 +27,9 @@
 #   * the outofcore_pagerank sweep carries budget_bytes / graph_bytes /
 #     peak_rss / pool_resident_bytes per entry, with graph_bytes >= 10x
 #     budget_bytes and pool_resident_bytes <= budget_bytes — the
-#     out-of-core gates (docs/OUTOFCORE.md);
+#     out-of-core gates (docs/OUTOFCORE.md) — and the mine-phase
+#     memory model: mine_rss <= base_rss + budget_bytes +
+#     32 B * num_nodes + readahead_bytes;
 #   * host_cpus is recorded (a perf number without its core count is
 #     unreproducible); a record generated on a 1-core host FAILS the
 #     check on any multi-core machine (regenerate there), and only
@@ -167,6 +169,26 @@ for name, sweep in kernels.items():
                     fail.append(f"{name}/{col}: pool_resident_bytes "
                                 f"{resident:.0f} exceeds budget_bytes "
                                 f"{budget:.0f} — the pool budget leaked")
+            # The mine-phase memory model (docs/OUTOFCORE.md): a fresh
+            # process that only mines holds its startup footprint, the
+            # pool budget, O(num_nodes) scalars and the scan's pages.
+            mine = {k: entry.get(k) for k in
+                    ("mine_rss", "base_rss", "num_nodes", "readahead_bytes")}
+            if not all(isinstance(v, (int, float)) and math.isfinite(v)
+                       and v > 0 for v in mine.values()):
+                fail.append(f"{name}/{col}: bad mine-phase counters {mine!r}")
+            elif isinstance(budget, (int, float)):
+                bytes_per_node = 32
+                limit = (mine["base_rss"] + budget +
+                         bytes_per_node * mine["num_nodes"] +
+                         mine["readahead_bytes"])
+                if mine["mine_rss"] > limit:
+                    fail.append(
+                        f"{name}/{col}: mine_rss {mine['mine_rss']:.0f} "
+                        f"exceeds base_rss + budget + {bytes_per_node} B x "
+                        f"num_nodes + readahead_bytes = {limit:.0f} — the "
+                        "mine phase holds more than the memory model "
+                        "allows")
         if name == "http_gateway":
             conns = entry.get("conns")
             rps = entry.get("req_per_sec")

@@ -117,7 +117,9 @@ kernel_names = {
     # arg = BUFFER-POOL BUDGET IN MiB, not threads: page-at-a-time
     # PageRank on a streamed store >= 10x the budget; extra columns
     # budget_bytes / graph_bytes / peak_rss / pool_resident_bytes carry
-    # the out-of-core evidence (docs/OUTOFCORE.md)
+    # the out-of-core evidence, and mine_rss / base_rss / num_nodes /
+    # readahead_bytes / threads the mine-phase memory model
+    # (docs/OUTOFCORE.md)
     "BM_OutOfCorePageRank": "outofcore_pagerank",
 }
 kernels = {}
@@ -145,7 +147,9 @@ for path in inputs:
         for extra in ("hit_rate", "resident_bytes", "edits_per_sec",
                       "pages_scanned", "pages_total", "speedup_vs_full",
                       "conns", "req_per_sec", "p99_ns", "budget_bytes",
-                      "graph_bytes", "peak_rss", "pool_resident_bytes"):
+                      "graph_bytes", "peak_rss", "pool_resident_bytes",
+                      "mine_rss", "base_rss", "num_nodes",
+                      "readahead_bytes", "threads"):
             if extra in b:
                 entry[extra] = b[extra]
         kernels.setdefault(kernel_names[name], {})[threads] = entry
